@@ -2,7 +2,8 @@
 
 Runs a fixed set of workloads in the current process and reports wall
 times. With --both, re-runs itself in two subprocesses (one forcing
-HECKEB_PURE=1) and prints the side-by-side ratio table.
+HECKEB_PURE=1) and prints the side-by-side ratio table; it exits
+non-zero when the compiled extension is not built.
 
 Usage:
     python benchmarks/bench_backends.py          # current backend only
@@ -124,6 +125,13 @@ def run_both():
             check=True,
         )
         rows[label] = json.loads(proc.stdout)
+        if label == "compiled" and rows[label]["backend"] == "python":
+            raise SystemExit(
+                "the compiled backend is not built (heckeb._poly_cy did not "
+                "import), so there is nothing to compare the pure backend "
+                "with; build it with `pip install -e . --no-build-isolation` "
+                "(needs Cython and a C compiler)"
+            )
     print("backend reported: compiled=%s pure=%s" % (
         rows["compiled"]["backend"], rows["pure"]["backend"]))
     print("%-14s %12s %12s %8s" % ("workload", "compiled", "pure", "ratio"))

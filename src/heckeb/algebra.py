@@ -479,34 +479,21 @@ def rmul_sigma(el, i, sign):
 def _tail_lmul(tails, i, sign):
     """Left multiply a {perm: coeff} table by gi^{sign}."""
     out = {}
-
-    def put(key, c):
-        cur = out.get(key)
-        if cur is None:
-            if not P.pis_zero(c):
-                out[key] = c
-            return
-        s = P.padd(cur, c)
-        if P.pis_zero(s):
-            del out[key]
-        else:
-            out[key] = s
-
     for perm, c in tails.items():
         asc = perm.index(i - 1) < perm.index(i)
         other = _swap_left(perm, i)
         if sign > 0:
             if asc:
-                put(other, c)
+                _h2_add(out, other, c)
             else:
-                put(perm, P.pmul(c, _Q1))
-                put(other, P.pshift(c, 1, 0))
+                _h2_add(out, perm, P.pmul(c, _Q1))
+                _h2_add(out, other, P.pshift(c, 1, 0))
         else:
             if asc:
-                put(other, P.pshift(c, -1, 0))
-                put(perm, P.pmul(c, _QI1))
+                _h2_add(out, other, P.pshift(c, -1, 0))
+                _h2_add(out, perm, P.pmul(c, _QI1))
             else:
-                put(other, c)
+                _h2_add(out, other, c)
     return out
 
 

@@ -2,9 +2,10 @@
 
 Coefficients live in the field of fractions of Z[q^{+-1}, z^{+-1}].
 A value is represented as a pair of Laurent polynomials (num, den).
-Fractions are not reduced to lowest terms (no polynomial gcd); equality
-is decided exactly by cross multiplication, and printing normalizes the
-denominator by integer content and monomial units so output is stable.
+Every fraction is reduced on construction: the polynomial gcd of
+numerator and denominator is cancelled, then integer content, monomial
+units and the sign of the denominator are normalized so output is
+stable. Equality is decided exactly by cross multiplication.
 
 The module also provides the loop-removal constant lam = (z+1-q)/(qz),
 the framing unit w with w^2 = lam (class HalfTwistScalar), and the

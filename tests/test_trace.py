@@ -1,5 +1,6 @@
 """Trace layer: closed forms, closure invariance, band move equations."""
 
+import importlib
 import random
 
 import pytest
@@ -19,13 +20,14 @@ from heckeb.trace import (
     TraceValue,
     bbm_coefficient,
     bbm_equation,
+    closure_scalar,
     invariant_x,
     map_I,
     map_index,
     trace_of_word,
     trace_with_rotation_check,
 )
-from heckeb.words import LoopMonomial, enumerate_level, parse_word
+from heckeb.words import LoopMonomial, bbm_image, enumerate_level, parse_word
 
 Q = rf_mono(1, 1, 0)
 QI = rf_mono(1, -1, 0)
@@ -215,13 +217,37 @@ def test_bbm_equation_negative_sign_coeff():
 
 
 def test_bbm_equation_cross_check_runs():
-    # the internal closure cross-check raises on any bookkeeping drift;
-    # running a grid of sources is the test
+    # the closure identity the runtime coefficient check stands for,
+    # derived per monomial: c(src) (lhs - rhs) = X(src) - X(img)
+    zero = HalfTwistScalar.from_rf(rf_int(0))
     for p in (2, 3):
         for kk in (0, 1, 2):
             for m in enumerate_level(kk, "+"):
                 for sign in (1, -1):
-                    bbm_equation(m, sign, p)
+                    eq = bbm_equation(m, sign, p)
+                    word_src = m.as_word()
+                    x_src = invariant_x(word_src)
+                    x_img = invariant_x(bbm_image(m, sign, p))
+                    c_src = closure_scalar(word_src)
+                    diff = eq.residual()
+                    keys = set(diff.terms) | set(x_src.terms) | set(x_img.terms)
+                    for k in keys:
+                        want = c_src.scale(diff.coeff(k))
+                        got = x_src.terms.get(k, zero) - x_img.terms.get(k, zero)
+                        assert want == got, (str(m), sign, p, k)
+
+
+def test_bbm_equation_rejects_wrong_coefficient(monkeypatch):
+    def other_sign(level, sign):
+        return bbm_coefficient(level, -sign)
+
+    # the package rebinds heckeb.trace to the trace function
+    trace_module = importlib.import_module("heckeb.trace")
+    monkeypatch.setattr(trace_module, "bbm_coefficient", other_sign)
+    for m in (LoopMonomial(()), LoopMonomial(((0, 1),))):
+        for sign in (1, -1):
+            with pytest.raises(RuntimeError):
+                bbm_equation(m, sign, 2)
 
 
 def test_bbm_equation_to_json():
