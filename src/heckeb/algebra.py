@@ -37,6 +37,11 @@ def _qmono(c, e):
     return P.pmono(c, e, 0)
 
 
+def _times_qm1(c, e):
+    """c * (q^e - 1), by a shift and a subtraction instead of P.pmul."""
+    return P.psub(P.pshift(c, e, 0), c)
+
+
 # -- permutations (one-line tuples, positions and values 0-based) --------
 
 
@@ -173,7 +178,7 @@ def h2_mul_g1(E):
     out = {}
     for (a, b, g), c in E.items():
         if g:
-            _h2_add(out, (a, b, 1), P.pmul(c, _Q1))
+            _h2_add(out, (a, b, 1), _times_qm1(c, 1))
             _h2_add(out, (a, b, 0), P.pshift(c, 1, 0))
         else:
             _h2_add(out, (a, b, 1), c)
@@ -193,9 +198,9 @@ def h2_mul_tp(E, e):
         sub = h2_mul_t({(a, b, 0): c}, e)
         for k, v in h2_mul_g1(sub).items():
             _h2_add(out, k, v)
-        _h2_add(out, (a, b + e, 0), P.pmul(c, _Q1))
+        _h2_add(out, (a, b + e, 0), _times_qm1(c, 1))
         for k, v in sub.items():
-            _h2_add(out, k, P.pmul(v, P.pneg(_Q1)))
+            _h2_add(out, k, _times_qm1(P.pneg(v), 1))
     return out
 
 
@@ -465,12 +470,12 @@ def rmul_sigma(el, i, sign):
             if asc:
                 out.add_term(loops, other, c)
             else:
-                out.add_term(loops, perm, P.pmul(c, _Q1))
+                out.add_term(loops, perm, _times_qm1(c, 1))
                 out.add_term(loops, other, P.pshift(c, 1, 0))
         else:
             if asc:
                 out.add_term(loops, other, P.pshift(c, -1, 0))
-                out.add_term(loops, perm, P.pmul(c, _QI1))
+                out.add_term(loops, perm, _times_qm1(c, -1))
             else:
                 out.add_term(loops, other, c)
     return out
@@ -486,15 +491,29 @@ def _tail_lmul(tails, i, sign):
             if asc:
                 _h2_add(out, other, c)
             else:
-                _h2_add(out, perm, P.pmul(c, _Q1))
+                _h2_add(out, perm, _times_qm1(c, 1))
                 _h2_add(out, other, P.pshift(c, 1, 0))
         else:
             if asc:
                 _h2_add(out, other, P.pshift(c, -1, 0))
-                _h2_add(out, perm, P.pmul(c, _QI1))
+                _h2_add(out, perm, _times_qm1(c, -1))
             else:
                 _h2_add(out, other, c)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_table(perm, tail):
+    """The braiding word tail times T_perm, as (perm', q-coefficient) pairs.
+
+    Left multiplication is linear in the coefficient, so rmul_axis scales
+    this one expansion per term. Tails come from insert_loop, so there
+    are at most n! * O(n^2) entries.
+    """
+    tails = {perm: P.pconst(1)}
+    for j, sgn in reversed(tail):
+        tails = _tail_lmul(tails, j, sgn)
+    return tuple(tails.items())
 
 
 def rmul_axis(el, e):
@@ -505,13 +524,11 @@ def rmul_axis(el, e):
         h = axis_head(perm)
         for cf, loops2, tail in insert_loop(loops, h, e):
             if not tail:
-                out.add_term(loops2, perm, P.pmul(c, cf))
+                out.add_term(loops2, perm, c if P.peq(cf, P.PONE) else P.pmul(c, cf))
                 continue
-            tails = {perm: P.pmul(c, cf)}
-            for j, sgn in reversed(tail):
-                tails = _tail_lmul(tails, j, sgn)
-            for pm, cc in tails.items():
-                out.add_term(loops2, pm, cc)
+            cc = P.pmul(c, cf)
+            for pm, t in _tail_table(perm, tail):
+                out.add_term(loops2, pm, P.pmul(cc, t))
     return out
 
 

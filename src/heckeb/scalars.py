@@ -2,10 +2,24 @@
 
 Coefficients live in the field of fractions of Z[q^{+-1}, z^{+-1}].
 A value is represented as a pair of Laurent polynomials (num, den).
-Every fraction is reduced on construction: the polynomial gcd of
-numerator and denominator is cancelled, then integer content, monomial
-units and the sign of the denominator are normalized so output is
-stable. Equality is decided exactly by cross multiplication.
+Every fraction is kept in one canonical form: num and den share no
+factor but a unit, den's minimal exponents are (0, 0), and den's
+lex-least term is positive. Equal values therefore have equal (num, den)
+dicts, and equality compares them directly.
+
+The constructor reduces arbitrary input by a polynomial gcd. The field
+operations never take the gcd of a product (Henrici's method; Knuth,
+TAOCP vol. 2, 4.5.1), because their inputs are already reduced:
+
+  * a/b * c/d cancels gcd(a, d) and gcd(c, b) first; the product of the
+    cofactors is then reduced. Division multiplies by d/c.
+  * a/b +- c/d with g = gcd(b, d) forms t = a (d/g) +- c (b/g) over
+    b (d/g); only gcd(t, g) can cancel. When a denominator is 1, or b
+    and d are coprime, no gcd is taken at all; when b = d, g = b.
+  * powers are powers of num and den, which stay coprime.
+
+A gcd against a monomial reduces to an integer gcd of contents, because
+monomials are units.
 
 The module also provides the loop-removal constant lam = (z+1-q)/(qz),
 the framing unit w with w^2 = lam (class HalfTwistScalar), and the
@@ -18,6 +32,28 @@ from __future__ import annotations
 import math
 
 from . import poly as P
+
+
+def _gcd(a, b):
+    """A gcd of nonzero a and b: minimal exponents (0, 0), positive content."""
+    if P.pis_monomial(a):
+        a, b = b, a
+    if P.pis_monomial(b):
+        c = P.pcontent(b)
+        return P.pconst(c if c == 1 else math.gcd(P.pcontent(a), c))
+    return P.pgcd(a, b)
+
+
+def _cancel(a, b):
+    """(a/g, b/g, g) for g = _gcd(a, b)."""
+    g = _gcd(a, b)
+    if P.peq(g, P.PONE):
+        return a, b, g
+    if P.pis_monomial(g):
+        # an integer, possibly not 1: gcd(3 - 3z, 3z - 3q) = 3
+        c = g[(0, 0)]
+        return P.pdivexact_int(a, c), P.pdivexact_int(b, c), g
+    return P.pdivexact(a, g), P.pdivexact(b, g), g
 
 
 class RatFunc:
@@ -35,47 +71,32 @@ class RatFunc:
         self._normalize()
 
     def _normalize(self):
+        if not P.pis_zero(self.num):
+            self.num, self.den, _ = _cancel(self.num, self.den)
+        self._normalize_units()
+
+    def _normalize_units(self):
+        """Fix the unit of a fraction whose num and den are coprime."""
         if P.pis_zero(self.num):
             self.den = P.pconst(1)
             return
-        # shift den's minimal exponents to (0, 0)
         qe, ze = P.pminexp(self.den)
         if qe or ze:
             self.den = P.pshift(self.den, -qe, -ze)
             self.num = P.pshift(self.num, -qe, -ze)
-        # single-term denominator divides out entirely when exact
-        if P.pis_monomial(self.den):
-            c, _, _ = P.pmonomial_parts(self.den)
-            if c in (1, -1):
-                if c == -1:
-                    self.num = P.pneg(self.num)
-                self.den = P.pconst(1)
-                return
-            try:
-                self.num = P.pdivexact_int(self.num, c)
-                self.den = P.pconst(1)
-                return
-            except ValueError:
-                pass
-        # cancel the polynomial gcd; keeps elimination chains from
-        # compounding denominators (den keeps minimal exponents (0, 0)
-        # under this division, so the shift above stays valid)
-        g = P.pgcd(self.num, self.den)
-        if len(g) > 1:
-            self.num = P.pdivexact(self.num, g)
-            self.den = P.pdivexact(self.den, g)
-        # integer content
-        g = P.pcontent(self.num)
-        h = P.pcontent(self.den)
-        d = math.gcd(g, h)
-        if d > 1:
-            self.num = P.pdivexact_int(self.num, d)
-            self.den = P.pdivexact_int(self.den, d)
-        # sign: lex-least denominator term gets a positive coefficient
-        lead = min(self.den)
-        if self.den[lead] < 0:
+        # also turns a denominator -1 into 1
+        if self.den[min(self.den)] < 0:
             self.num = P.pneg(self.num)
             self.den = P.pneg(self.den)
+
+    @staticmethod
+    def _reduced(num, den):
+        """num/den for coprime num and den, built without a gcd."""
+        r = RatFunc.__new__(RatFunc)
+        r.num = num
+        r.den = den
+        r._normalize_units()
+        return r
 
     # -- constructors -------------------------------------------------
 
@@ -102,7 +123,7 @@ class RatFunc:
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return P.peq(P.pmul(self.num, other.den), P.pmul(other.num, self.den))
+        return P.peq(self.num, other.num) and P.peq(self.den, other.den)
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -112,53 +133,64 @@ class RatFunc:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _combine(self, other, op):
+        """a/b op c/d for op = P.padd or P.psub."""
+        a, b, c, d = self.num, self.den, other.num, other.den
+        one = P.PONE
+        if P.peq(b, d):
+            g, bq, dq = b, one, one
+        elif P.peq(b, one) or P.peq(d, one):
+            g, bq, dq = one, b, d
+        else:
+            bq, dq, g = _cancel(b, d)
+        t = op(P.pmul(a, dq), P.pmul(c, bq))
+        if P.pis_zero(t) or P.peq(g, one):
+            return RatFunc._reduced(t, P.pmul(bq, dq))
+        # t is prime to bq and dq, so only a factor of g can cancel
+        t, g, _ = _cancel(t, g)
+        return RatFunc._reduced(t, P.pmul(P.pmul(g, bq), dq))
+
+    @staticmethod
+    def _product(a, b, c, d):
+        """(a/b)(c/d) for coprime pairs (a, b) and (c, d)."""
+        if P.pis_zero(a) or P.pis_zero(c):
+            return RatFunc(P.pzero())
+        if not P.peq(d, P.PONE):
+            a, d, _ = _cancel(a, d)
+        if not P.peq(b, P.PONE):
+            c, b, _ = _cancel(c, b)
+        return RatFunc._reduced(P.pmul(a, c), P.pmul(b, d))
+
     def __add__(self, other):
-        if P.peq(self.den, other.den):
-            return RatFunc(P.padd(self.num, other.num), dict(self.den))
-        return RatFunc(
-            P.padd(P.pmul(self.num, other.den), P.pmul(other.num, self.den)),
-            P.pmul(self.den, other.den),
-        )
+        return self._combine(other, P.padd)
 
     def __sub__(self, other):
-        if P.peq(self.den, other.den):
-            return RatFunc(P.psub(self.num, other.num), dict(self.den))
-        return RatFunc(
-            P.psub(P.pmul(self.num, other.den), P.pmul(other.num, self.den)),
-            P.pmul(self.den, other.den),
-        )
+        return self._combine(other, P.psub)
 
     def __neg__(self):
-        return RatFunc(P.pneg(self.num), dict(self.den))
+        return RatFunc._reduced(P.pneg(self.num), self.den)
 
     def __mul__(self, other):
-        return RatFunc(P.pmul(self.num, other.num), P.pmul(self.den, other.den))
+        return RatFunc._product(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero value")
-        return RatFunc(P.pmul(self.num, other.den), P.pmul(self.den, other.num))
+        return RatFunc._product(self.num, self.den, other.den, other.num)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(dict(self.den), dict(self.num))
+        return RatFunc._reduced(self.den, self.num)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatFunc.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return RatFunc._reduced(P.ppow(self.num, n), P.ppow(self.den, n))
 
     def scale_poly(self, a):
         """Multiply by a bare Laurent polynomial."""
-        return RatFunc(P.pmul(self.num, a), dict(self.den))
+        return RatFunc._product(self.num, self.den, a, P.PONE)
 
     # -- output ---------------------------------------------------------
 
@@ -309,8 +341,9 @@ class HalfTwistScalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __str__(self):

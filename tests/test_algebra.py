@@ -160,6 +160,34 @@ def test_band_generator_two_spellings():
         assert fold(A.AlgebraElement.one(n), w1) == fold(A.AlgebraElement.one(n), w2)
 
 
+def test_times_qm1_matches_pmul():
+    rng = random.Random(41)
+    for _ in range(100):
+        c = {}
+        for _ in range(rng.randrange(0, 20)):
+            e = rng.randrange(-8, 9)
+            v = c.get((e, 0), 0) + rng.randint(-5, 5)
+            c[(e, 0)] = v
+        c = {k: v for k, v in c.items() if v}
+        assert A._times_qm1(c, 1) == P.pmul(c, A._Q1)
+        assert A._times_qm1(c, -1) == P.pmul(c, A._QI1)
+
+
+def test_tail_table_scales_per_coefficient():
+    # expanding {perm: c} letter by letter equals c times the memoized table
+    rng = random.Random(42)
+    n = 4
+    c = {(-1, 0): 3, (0, 0): -1, (2, 0): 2}
+    tails = [(), ((1, 1),), ((2, -1), (1, 1), (2, 1)), ((3, 1), (2, 1))]
+    for w in itertools.permutations(range(n)):
+        tail = rng.choice(tails) + rng.choice(tails)
+        direct = {w: c}
+        for j, sgn in reversed(tail):
+            direct = A._tail_lmul(direct, j, sgn)
+        scaled = {pm: P.pmul(c, t) for pm, t in A._tail_table(w, tail)}
+        assert scaled == direct, (w, tail)
+
+
 def test_tail_monomial_rule():
     # T_w t^e = t'^e at the tail head, times T_w, for every w in S_4
     n = 4

@@ -65,6 +65,50 @@ def test_field_laws():
             assert b * b.inverse() == RF_ONE
 
 
+def assert_canonical(r):
+    # reduced fractions in the normal form are unique, so rebuilding one
+    # from its own parts must give back exactly the same dicts
+    again = RatFunc(dict(r.num), dict(r.den))
+    assert (r.num, r.den) == (again.num, again.den), r
+
+
+def test_results_are_canonical():
+    rng = random.Random(25)
+    n = RatFunc(big_n())
+    special = [
+        # gcd(3 - 3z, 3z - 3q) = 3: a one-term gcd that is not 1
+        RatFunc({(0, 0): 1}, {(0, 0): 3, (0, 1): -3}),
+        RatFunc({(0, 1): 3, (1, 0): -3}, {(0, 0): 1, (1, 1): 1}),
+        RatFunc({(0, 0): 1}, {(0, 1): 3, (1, 0): -3}),
+        RatFunc({(1, 0): 2}, {(0, 0): 3}),
+        # denominator 1 against powers of N = z + 1 - q
+        rf_mono(1, 1, 0) + rf_int(2),
+        n.inverse(),
+        (n * n).inverse() * rf_mono(-2, 0, 1),
+        n ** 3 / rf_mono(4, 1, 1),
+        rf_mono(-1, -1, 2),
+        RF_ZERO,
+    ]
+    values = special + [rand_rf(rng) for _ in range(30)]
+    for a in values:
+        assert_canonical(a)
+        assert_canonical(-a)
+        assert (a - a).is_zero() and (a + (-a)).is_zero()
+        assert_canonical(a - a)
+        for e in (0, 1, 2, 3):
+            assert_canonical(a ** e)
+        if not a.is_zero():
+            assert_canonical(a.inverse())
+            assert_canonical(a ** -2)
+            assert_canonical(a / a)
+        for b in special + [rand_rf(rng) for _ in range(4)]:
+            assert_canonical(a + b)
+            assert_canonical(a - b)
+            assert_canonical(a * b)
+            if not b.is_zero():
+                assert_canonical(a / b)
+
+
 def test_pow():
     r = rf_mono(1, 1, 0) + rf_int(1)
     assert r ** 0 == RF_ONE
