@@ -5,7 +5,11 @@ Same representation and API as the pure-Python module: a polynomial is
 a dict ``{(qexp, zexp): coeff}`` with nonzero integer coeffs, empty
 dict meaning zero.  Coefficients stay arbitrary-precision Python ints;
 the compilation removes interpreter overhead from the inner loops.
+The gcd and exact division are not here: ``heckeb.poly`` takes them from
+the pure-Python module for both backends.
 """
+
+import math
 
 
 def pzero():
@@ -119,14 +123,7 @@ def ppow(dict a, long n):
 
 
 def pcontent(dict a):
-    g = 0
-    for c in a.values():
-        c = -c if c < 0 else c
-        while c:
-            g, c = c, g % c
-        if g == 1:
-            return 1
-    return g
+    return math.gcd(*a.values())
 
 
 def pdivexact_int(dict a, c):
@@ -155,279 +152,3 @@ def pminexp(dict a):
     qm = min(k[0] for k in a)
     zm = min(k[1] for k in a)
     return (qm, zm)
-
-
-# -- gcd support ---------------------------------------------------------
-# Mirrors the pure backend: univariate helpers on dicts {exp: coeff},
-# a z-major list view for the bivariate layer, primitive remainder
-# sequences for the gcd, and exact long division.
-
-
-cdef _igcd(x, y):
-    x = -x if x < 0 else x
-    y = -y if y < 0 else y
-    while y:
-        x, y = y, x % y
-    return x
-
-
-cdef dict _qmul(dict f, dict g):
-    cdef dict out = {}
-    if not f or not g:
-        return out
-    for a, ca in f.items():
-        for b, cb in g.items():
-            k = a + b
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-cdef dict _qsub(dict f, dict g):
-    cdef dict out = dict(f)
-    for k, v in g.items():
-        s = out.get(k, 0) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-cdef _qcontent(dict f):
-    g = 0
-    for c in f.values():
-        g = _igcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
-cdef dict _qprim(dict f):
-    if not f:
-        return {}
-    g = _qcontent(f)
-    if f[max(f)] < 0:
-        g = -g
-    if g == 1:
-        return dict(f)
-    return {k: v // g for k, v in f.items()}
-
-
-cdef dict _qabs(dict f):
-    if not f or f[max(f)] > 0:
-        return dict(f)
-    return {k: -v for k, v in f.items()}
-
-
-cdef dict _qpseudo_rem(dict f, dict g):
-    dg = max(g)
-    lg = g[dg]
-    cdef dict r = dict(f)
-    cdef dict nxt
-    while r:
-        dr = max(r)
-        if dr < dg:
-            break
-        lr = r[dr]
-        nxt = {}
-        for k, v in r.items():
-            if k != dr:
-                nxt[k] = v * lg
-        for k, v in g.items():
-            if k != dg:
-                kk = k + dr - dg
-                s = nxt.get(kk, 0) - v * lr
-                if s:
-                    nxt[kk] = s
-                else:
-                    nxt.pop(kk, None)
-        r = nxt
-    return r
-
-
-cdef dict _qgcd(dict f, dict g):
-    if not f:
-        return _qabs(g)
-    if not g:
-        return _qabs(f)
-    c = _igcd(_qcontent(f), _qcontent(g))
-    cdef dict ff = _qprim(f)
-    cdef dict gg = _qprim(g)
-    cdef dict r
-    while gg:
-        r = _qpseudo_rem(ff, gg)
-        ff, gg = gg, _qprim(r)
-    if c != 1:
-        ff = {k: v * c for k, v in ff.items()}
-    return ff
-
-
-cdef dict _qdivexact(dict f, dict g):
-    if not g:
-        raise ZeroDivisionError("zero divisor")
-    if not f:
-        return {}
-    dg = max(g)
-    lg = g[dg]
-    cdef dict r = dict(f)
-    cdef dict out = {}
-    while r:
-        dr = max(r)
-        if dr < dg:
-            raise ValueError("inexact division")
-        t, rem = divmod(r[dr], lg)
-        if rem:
-            raise ValueError("inexact division")
-        out[dr - dg] = t
-        for k, v in g.items():
-            kk = k + dr - dg
-            s = r.get(kk, 0) - v * t
-            if s:
-                r[kk] = s
-            else:
-                r.pop(kk, None)
-    return out
-
-
-cdef list _split_z(dict a):
-    zmax = max(k[1] for k in a)
-    cdef list out = [dict() for _ in range(zmax + 1)]
-    for k, c in a.items():
-        (<dict>out[k[1]])[k[0]] = c
-    return out
-
-
-cdef dict _join_z(list L):
-    cdef dict out = {}
-    for ze in range(len(L)):
-        for qe, c in (<dict>L[ze]).items():
-            out[(qe, ze)] = c
-    return out
-
-
-cdef list _ztrim(list F):
-    while F and not F[len(F) - 1]:
-        F.pop()
-    return F
-
-
-cdef dict _zcontent(list F):
-    cdef dict g = {}
-    for f in F:
-        g = _qgcd(g, <dict>f)
-        if g == {0: 1}:
-            return g
-    return g
-
-
-cdef list _zprim(list F):
-    cdef dict g = _zcontent(F)
-    if g == {0: 1}:
-        return [dict(f) for f in F]
-    return [_qdivexact(<dict>f, g) if f else {} for f in F]
-
-
-cdef list _zpseudo_rem(list F, list G):
-    dg = len(G) - 1
-    cdef dict lg = <dict>G[dg]
-    cdef list r = _ztrim([dict(f) for f in F])
-    cdef list nxt
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        lr = <dict>r[dr]
-        nxt = [_qmul(<dict>r[i], lg) if r[i] else {} for i in range(dr)]
-        for i in range(dg):
-            if G[i]:
-                j = i + dr - dg
-                nxt[j] = _qsub(<dict>nxt[j], _qmul(<dict>G[i], <dict>lr))
-        r = _ztrim(nxt)
-    return r
-
-
-cdef list _zgcd(list F, list G):
-    F = _ztrim([dict(f) for f in F])
-    G = _ztrim([dict(f) for f in G])
-    if not F:
-        return G
-    if not G:
-        return F
-    cdef dict c = _qgcd(_zcontent(F), _zcontent(G))
-    F = _zprim(F)
-    G = _zprim(G)
-    if len(F) < len(G):
-        F, G = G, F
-    cdef list R
-    while G:
-        R = _zpseudo_rem(F, G)
-        F, G = G, (_zprim(R) if R else [])
-    if c != {0: 1}:
-        F = [_qmul(<dict>f, c) if f else {} for f in F]
-    return F
-
-
-cdef list _zdivexact(list F, list G):
-    F = _ztrim([dict(f) for f in F])
-    G = _ztrim([dict(f) for f in G])
-    if not G:
-        raise ZeroDivisionError("zero divisor")
-    if not F:
-        return []
-    dg = len(G) - 1
-    cdef dict lg = <dict>G[dg]
-    cdef list out = [dict() for _ in range(len(F) - dg)]
-    cdef list r = F
-    cdef dict t
-    while True:
-        _ztrim(r)
-        if not r:
-            break
-        dr = len(r) - 1
-        if dr < dg:
-            raise ValueError("inexact division")
-        t = _qdivexact(<dict>r[dr], lg)
-        out[dr - dg] = t
-        for i in range(dg + 1):
-            if G[i]:
-                r[i + dr - dg] = _qsub(<dict>r[i + dr - dg], _qmul(<dict>G[i], t))
-    return out
-
-
-def pgcd(dict a, dict b):
-    """A gcd of two Laurent polynomials, up to a monomial unit."""
-    if not a:
-        if not b:
-            return {}
-        qm, zm = pminexp(b)
-        return pshift(b, -qm, -zm)
-    if not b:
-        qm, zm = pminexp(a)
-        return pshift(a, -qm, -zm)
-    qa, za = pminexp(a)
-    qb, zb = pminexp(b)
-    cdef list F = _split_z(pshift(a, -qa, -za))
-    cdef list G = _split_z(pshift(b, -qb, -zb))
-    cdef dict out = _join_z(_zgcd(F, G))
-    qm, zm = pminexp(out)
-    if qm or zm:
-        out = pshift(out, -qm, -zm)
-    if out[max(out)] < 0:
-        out = pneg(out)
-    return out
-
-
-def pdivexact(dict a, dict b):
-    """Exact division of Laurent polynomials; ValueError when inexact."""
-    if not b:
-        raise ZeroDivisionError("zero divisor")
-    if not a:
-        return {}
-    qa, za = pminexp(a)
-    qb, zb = pminexp(b)
-    cdef list F = _split_z(pshift(a, -qa, -za))
-    cdef list G = _split_z(pshift(b, -qb, -zb))
-    cdef list Q = _zdivexact(F, G)
-    return pshift(_join_z(Q), qa - qb, za - zb)

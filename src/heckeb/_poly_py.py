@@ -4,7 +4,21 @@ A polynomial in q and z with integer coefficients is a plain dict
 ``{(qexp, zexp): coeff}`` with every stored coeff nonzero; the empty
 dict is zero.  Exponents may be negative.  All functions return fresh
 dicts and never mutate their arguments.
+
+The gcd and exact division run on big integers: both polynomials are
+packed into integers by Kronecker substitution, CPython's integer gcd or
+divmod does the work, and the unpacked result is accepted only when a
+coefficient bound and a degree check prove it multiplies back to the
+inputs (heuristic gcd, GCDHEU). A rejected candidate is retried with a
+wider packing; a primitive remainder sequence is the last resort. Both
+backends share these two functions (see ``heckeb.poly``).
 """
+
+import math
+import sys
+from operator import itemgetter
+
+_zexp = itemgetter(1)
 
 
 def pzero():
@@ -106,14 +120,7 @@ def ppow(a, n):
 
 def pcontent(a):
     """Positive gcd of all coefficients; 0 for the zero polynomial."""
-    g = 0
-    for c in a.values():
-        c = -c if c < 0 else c
-        while c:
-            g, c = c, g % c
-        if g == 1:
-            return 1
-    return g
+    return math.gcd(*a.values())
 
 
 def pdivexact_int(a, c):
@@ -141,39 +148,225 @@ def pminexp(a):
     """Componentwise minimum of exponents; (0, 0) for the zero poly."""
     if not a:
         return (0, 0)
-    qm = min(k[0] for k in a)
-    zm = min(k[1] for k in a)
-    return (qm, zm)
+    return (min(a)[0], min(a, key=_zexp)[1])
 
 
 # -- gcd support ---------------------------------------------------------
-# Univariate helpers work on dicts {exp: coeff} over the integers; the
-# bivariate layer views a polynomial as a list over z-degree with q-poly
-# coefficients and runs a primitive remainder sequence.
+# pgcd and pdivexact hand their work to CPython's big-integer gcd and
+# division (GCDHEU: Char, Geddes, Gonnet, J. Symbolic Comput. 7 (1989)
+# 31-48, with Kronecker substitution: Geddes, Czapor, Labahn, Algorithms
+# for Computer Algebra, 1992, 7.7).
+#
+# Packing. A polynomial with minimal exponents (0, 0) and q-degree below
+# D is the integer A(X, X^D): term (qe, ze) is base-X digit qe + D*ze.
+# X = 2^(8w) for a digit width w of 1, 2, 4 or 8 bytes (native integers)
+# or a multiple of 8, and X > 2 ||A|| + 1, so balanced digits read every
+# coefficient back. The first X also covers ||A|| min(#A, #B), which
+# saves most retries of the bound check below.
+#
+# Acceptance. The gcd h = gcd(A(X), B(X)) (or the quotient A(X) // B(X))
+# is unpacked to H, and the cofactor A(X) // h to C. H is accepted only
+# when two checks prove H*C = A as polynomials:
+#   * ||H|| ||C|| min(#H, #C) < X/2 bounds every coefficient of H*C, so
+#     H(X)C(X) = A(X) means H*C = A in Z[t] for q = t, z = t^D;
+#   * deg_q H + deg_q C < D: no q-power of H*C wraps into the z-digits.
+# By the GCDHEU theorem a gcd candidate that passes (for A and B) is the
+# gcd. A nonzero remainder of A(X) // B(X) proves b does not divide a.
+#
+# Retries. Integer images can share a factor the polynomials do not:
+# z - q - qz and q - 1 - z both map to multiples of t^2 - t + 1 at D = 2,
+# where the candidate 1 + z - q fails only the degree check. A gcd retry
+# therefore packs with D + 1 as well as a wider X; a division retry only
+# widens X. After _HEU_TRIES failures the primitive remainder sequence
+# (PRS) further below decides.
+
+_HEU_TRIES = 4
+
+# digit width in bytes -> memoryview format of that native item size; the
+# digits are little-endian, so other platforms take the generic path
+_FORMATS = {}
+if sys.byteorder == "little":
+    _FORMATS = {memoryview(bytes(8)).cast(c).itemsize: c for c in "QIHB"}
 
 
-def _igcd(x, y):
-    x = -x if x < 0 else x
-    y = -y if y < 0 else y
-    while y:
-        x, y = y, x % y
-    return x
+def _norm(a):
+    return max(max(a.values()), -min(a.values()))
 
 
-def _qcontent(f):
-    g = 0
-    for c in f.values():
-        g = _igcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _width(m):
+    """Digit bytes w with X = 2^(8w) > 2m + 1: 1, 2, 4, 8 or a multiple of 8."""
+    w = (m.bit_length() + 8) // 8
+    if w > 4:
+        return (w + 7) // 8 * 8
+    return 4 if w == 3 else w
+
+
+def _halves(w, n):
+    """n base-2^(8w) digits, each 2^(8w - 1), as little-endian bytes."""
+    return (b"\x00" * (w - 1) + b"\x80") * n
+
+
+def _digits(buf, w):
+    """The little-endian base-2^(8w) digits of buf, as a mutable sequence
+    over a copy of buf."""
+    fmt = _FORMATS.get(w)
+    if fmt is None:
+        return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
+    return memoryview(bytearray(buf)).cast(fmt)
+
+
+def _pack(a, d, w):
+    """a(X, X^d) for X = 2^(8w); a needs min exponents (0, 0), q-degree
+    below d and every |coeff| < X/2."""
+    half = 1 << (8 * w - 1)
+    offset = _halves(w, d * (max(a, key=_zexp)[1] + 1))
+    digits = _digits(offset, w)
+    for (qe, ze), c in a.items():
+        digits[qe + d * ze] = c + half
+    if isinstance(digits, list):
+        digits = b"".join(v.to_bytes(w, "little") for v in digits)
+    return int.from_bytes(digits, "little") - int.from_bytes(offset, "little")
+
+
+def _unpack(h, d, w):
+    """The balanced base-2^(8w) digits of h; digit e at (e % d, e // d)."""
+    n = h.bit_length() // (8 * w) + 2
+    offset = _halves(w, n)
+    buf = (h + int.from_bytes(offset, "little")).to_bytes(n * w, "little")
+    half = 1 << (8 * w - 1)
+    return {(e % d, e // d): v - half
+            for e, v in enumerate(_digits(buf, w)) if v != half}
+
+
+def _product_bound(h, c, d):
+    """A bound on the coefficients of h*c, or None when h*c wraps: its
+    q-degree reaches d."""
+    if max(h)[0] + max(c)[0] >= d:
+        return None
+    return _norm(h) * _norm(c) * min(len(h), len(c))
+
+
+def _heu_gcd(a, b):
+    """The gcd of primitive a and b (min exponents (0, 0)) up to sign, or
+    None when no packing in _HEU_TRIES proved a candidate."""
+    d = 1 + max(max(a)[0], max(b)[0])
+    w = _width(max(_norm(a), _norm(b)) * min(len(a), len(b)))
+    for _ in range(_HEU_TRIES):
+        x = _pack(a, d, w)
+        y = _pack(b, d, w)
+        h = math.gcd(x, y)
+        if h == 1:
+            return {(0, 0): 1}
+        g = _unpack(h, d, w)
+        c = math.gcd(*g.values())
+        if c != 1:
+            g = {k: v // c for k, v in g.items()}
+            h //= c
+        half = 1 << (8 * w - 1)
+        bound = _product_bound(g, _unpack(x // h, d, w), d)
+        if bound is not None and bound < half:
+            bound = _product_bound(g, _unpack(y // h, d, w), d)
+            if bound is not None and bound < half:
+                return g
+        d += 1
+        w = _width(max(bound or 0, half))
+    return None
+
+
+def _heu_divexact(a, b):
+    """a / b for a and b with min exponents (0, 0), or None when no packing
+    in _HEU_TRIES proved the quotient; ValueError when b does not divide a."""
+    qa = max(a)[0]
+    if max(b)[0] > qa or max(b, key=_zexp)[1] > max(a, key=_zexp)[1]:
+        raise ValueError("inexact division")
+    d = 1 + qa
+    w = _width(max(_norm(a), _norm(b)) * min(len(a), len(b)))
+    for _ in range(_HEU_TRIES):
+        t, r = divmod(_pack(a, d, w), _pack(b, d, w))
+        if r:
+            raise ValueError("inexact division")
+        c = _unpack(t, d, w)
+        bound = _product_bound(b, c, d)
+        half = 1 << (8 * w - 1)
+        if bound < half:
+            return c
+        w = _width(max(bound, half))
+    return None
+
+
+def pgcd(a, b):
+    """A gcd of two Laurent polynomials, up to a monomial unit.
+
+    The result has minimal exponents (0, 0), integer content the gcd of
+    the inputs' contents, and its lex-greatest term positive; for a zero
+    argument the other is returned (shifted likewise). Monomials are
+    units here, so callers reduce fractions with it rather than compare
+    it against a unique normal form.
+    """
+    if not a:
+        if not b:
+            return {}
+        qm, zm = pminexp(b)
+        return pshift(b, -qm, -zm)
+    if not b:
+        qm, zm = pminexp(a)
+        return pshift(a, -qm, -zm)
+    qa, za = pminexp(a)
+    qb, zb = pminexp(b)
+    a = pshift(a, -qa, -za)
+    b = pshift(b, -qb, -zb)
+    ca = pcontent(a)
+    cb = pcontent(b)
+    if ca != 1:
+        a = {k: v // ca for k, v in a.items()}
+    if cb != 1:
+        b = {k: v // cb for k, v in b.items()}
+    if len(a) == 1 or len(b) == 1:
+        out = {(0, 0): 1}
+    elif a == b:
+        out = a
+    else:
+        out = _heu_gcd(a, b)
+        if out is None:
+            out = _join_z(_zgcd(_split_z(a), _split_z(b)))
+    c = math.gcd(ca, cb)
+    if out[max(out)] < 0:
+        c = -c
+    if c != 1:
+        out = {k: v * c for k, v in out.items()}
+    return out
+
+
+def pdivexact(a, b):
+    """Exact division of Laurent polynomials; raises ValueError if inexact."""
+    if not b:
+        raise ZeroDivisionError("zero divisor")
+    if not a:
+        return {}
+    qb, zb = pminexp(b)
+    if len(b) == 1:
+        return pdivexact_mono(a, b[(qb, zb)], qb, zb)
+    qa, za = pminexp(a)
+    a = pshift(a, -qa, -za)
+    b = pshift(b, -qb, -zb)
+    out = _heu_divexact(a, b)
+    if out is None:
+        out = _join_z(_zdivexact(_split_z(a), _split_z(b)))
+    return pshift(out, qa - qb, za - zb)
+
+
+# -- primitive remainder sequence ---------------------------------------
+# The fallback of pgcd and pdivexact, and the reference the tests compare
+# them with. Univariate helpers work on dicts {exp: coeff} over the
+# integers; the bivariate layer views a polynomial as a list over z-degree
+# with q-poly coefficients.
 
 
 def _qprim(f):
     """Primitive part with positive leading coefficient."""
     if not f:
         return {}
-    g = _qcontent(f)
+    g = math.gcd(*f.values())
     if f[max(f)] < 0:
         g = -g
     if g == 1:
@@ -218,7 +411,7 @@ def _qgcd(f, g):
         return _qabs(g)
     if not g:
         return _qabs(f)
-    c = _igcd(_qcontent(f), _qcontent(g))
+    c = math.gcd(*f.values(), *g.values())
     f = _qprim(f)
     g = _qprim(g)
     while g:
@@ -383,48 +576,3 @@ def _zdivexact(F, G):
             if G[i]:
                 r[i + dr - dg] = _qsub(r[i + dr - dg], _qmul(G[i], t))
     return out
-
-
-def pgcd(a, b):
-    """A gcd of two Laurent polynomials, up to a monomial unit.
-
-    The result has minimal exponents (0, 0) and positive content; for a
-    zero argument the other is returned (shifted likewise). Monomials
-    are units here, so callers reduce fractions with it rather than
-    compare it against a unique normal form.
-    """
-    if not a:
-        if not b:
-            return {}
-        qm, zm = pminexp(b)
-        return pshift(b, -qm, -zm)
-    if not b:
-        qm, zm = pminexp(a)
-        return pshift(a, -qm, -zm)
-    qa, za = pminexp(a)
-    qb, zb = pminexp(b)
-    F = _split_z(pshift(a, -qa, -za))
-    G = _split_z(pshift(b, -qb, -zb))
-    H = _zgcd(F, G)
-    out = _join_z(H)
-    # pull out any residual monomial unit
-    qm, zm = pminexp(out)
-    if qm or zm:
-        out = pshift(out, -qm, -zm)
-    if out[max(out)] < 0:
-        out = {k: -v for k, v in out.items()}
-    return out
-
-
-def pdivexact(a, b):
-    """Exact division of Laurent polynomials; raises ValueError if inexact."""
-    if not b:
-        raise ZeroDivisionError("zero divisor")
-    if not a:
-        return {}
-    qa, za = pminexp(a)
-    qb, zb = pminexp(b)
-    F = _split_z(pshift(a, -qa, -za))
-    G = _split_z(pshift(b, -qb, -zb))
-    Q = _zdivexact(F, G)
-    return pshift(_join_z(Q), qa - qb, za - zb)

@@ -6,13 +6,17 @@ fallback (useful for benchmarking and debugging).
 
 Both backends share one representation: a polynomial is a plain dict
 ``{(qexp, zexp): coeff}`` with nonzero int coeffs; ``{}`` is zero.
+The gcd and exact division always come from the pure-Python module:
+their work is done by CPython's big-integer gcd and division, which a
+compiled copy would not speed up.
 """
 
 import os
 
-if os.environ.get("HECKEB_PURE"):
-    from heckeb import _poly_py as _impl
+from heckeb import _poly_py
 
+if os.environ.get("HECKEB_PURE"):
+    _impl = _poly_py
     BACKEND = "python"
 else:
     try:
@@ -20,8 +24,7 @@ else:
 
         BACKEND = "compiled"
     except ImportError:
-        from heckeb import _poly_py as _impl
-
+        _impl = _poly_py
         BACKEND = "python"
 
 pzero = _impl.pzero
@@ -41,8 +44,8 @@ pcontent = _impl.pcontent
 pdivexact_int = _impl.pdivexact_int
 pdivexact_mono = _impl.pdivexact_mono
 pminexp = _impl.pminexp
-pgcd = _impl.pgcd
-pdivexact = _impl.pdivexact
+pgcd = _poly_py.pgcd
+pdivexact = _poly_py.pdivexact
 
 PONE = pconst(1)
 

@@ -1,5 +1,6 @@
 """Laurent polynomial layer: ring laws, gcd, and backend parity."""
 
+import math
 import random
 
 import pytest
@@ -108,6 +109,141 @@ def test_gcd_of_zero():
     assert P.pgcd(P.pzero(), P.pzero()) == {}
 
 
+def _ref_gcd(a, b):
+    """pgcd by the primitive remainder sequence alone."""
+    qa, za = PY.pminexp(a)
+    qb, zb = PY.pminexp(b)
+    g = PY._join_z(PY._zgcd(PY._split_z(PY.pshift(a, -qa, -za)),
+                            PY._split_z(PY.pshift(b, -qb, -zb))))
+    qm, zm = PY.pminexp(g)
+    g = PY.pshift(g, -qm, -zm)
+    return PY.pneg(g) if g[max(g)] < 0 else g
+
+
+def _ref_divexact(a, b):
+    """pdivexact by long division alone."""
+    qa, za = PY.pminexp(a)
+    qb, zb = PY.pminexp(b)
+    out = PY._zdivexact(PY._split_z(PY.pshift(a, -qa, -za)),
+                        PY._split_z(PY.pshift(b, -qb, -zb)))
+    return PY.pshift(PY._join_z(out), qa - qb, za - zb)
+
+
+def _planted_factor(rng, i):
+    kind = i % 4
+    if kind == 0:  # q only
+        coeffs = [rng.randint(1, 4), rng.randint(-4, 4), 1]
+        return {(e, 0): c for e, c in enumerate(coeffs) if c}
+    if kind == 1:  # z only
+        return {(0, 0): rng.choice([-2, -1, 1, 3]), (0, rng.randint(1, 3)): 1}
+    if kind == 2:  # mixed
+        return PY.padd(rand_poly(rng, terms=3, span=2), {(1, 1): 1})
+    return {(0, 0): 1}
+
+
+def test_gcd_and_division_match_prs():
+    rng = random.Random(16)
+    pairs = 0
+    for i in range(400):
+        big = i % 5 == 4
+        lo, hi = (-(2 ** 70), 2 ** 70) if big else (-9, 9)
+        f = _planted_factor(rng, i)
+        a = rand_poly(rng, terms=3, lo=lo, hi=hi)
+        b = rand_poly(rng, terms=3, lo=lo, hi=hi)
+        if not a or not b:
+            continue
+        a = PY.pscale(PY.pmul(a, f), rng.choice([1, 1, 3, 6, -2]))
+        b = PY.pscale(PY.pmul(b, f), rng.choice([1, 3, 9]))
+        assert PY.pgcd(a, b) == _ref_gcd(a, b)
+        assert PY.pgcd(b, a) == _ref_gcd(b, a)
+        assert PY.pdivexact(a, f) == _ref_divexact(a, f)
+        g = PY.pgcd(a, b)
+        assert PY.pdivexact(b, g) == _ref_divexact(b, g)
+        try:
+            q = _ref_divexact(a, b)
+        except ValueError:
+            with pytest.raises(ValueError):
+                PY.pdivexact(a, b)
+        else:
+            assert PY.pdivexact(a, b) == q
+        pairs += 1
+    assert pairs >= 300
+
+
+def test_gcd_rejects_wrapped_common_factor():
+    # z - q - qz and q - 1 - z are coprime, but packed at D = 2 (z = t^2)
+    # both images are multiples of t^2 - t + 1, which unpacks to 1 + z - q
+    a = {(0, 1): 1, (1, 0): -1, (1, 1): -1}
+    b = {(0, 0): -1, (0, 1): -1, (1, 0): 1}
+    x, y = PY._pack(a, 2, 1), PY._pack(b, 2, 1)
+    assert PY._unpack(math.gcd(x, y), 2, 1) == {(0, 0): 1, (0, 1): 1, (1, 0): -1}
+    assert P.pgcd(a, b) == {(0, 0): 1}
+    assert P.pgcd(PY.pshift(a, -2, 3), b) == {(0, 0): 1}
+
+
+@pytest.fixture
+def pack_widths(monkeypatch):
+    """The digit width of every packing, in call order."""
+    widths = []
+    pack = PY._pack
+
+    def counted(a, d, w):
+        widths.append(w)
+        return pack(a, d, w)
+
+    monkeypatch.setattr(PY, "_pack", counted)
+    return widths
+
+
+def test_gcd_strips_integer_factor_of_image(pack_widths):
+    # (256 + 2, 3 * 256 + 2) = 2: the candidate 2 is the unit 1 times a
+    # stray integer factor, and must pass on the first packing
+    assert P.pgcd({(0, 0): 2, (1, 0): 1}, {(0, 0): 2, (1, 0): 3}) == {(0, 0): 1}
+    assert pack_widths == [1, 1]
+
+
+def test_division_widens_packing_for_large_quotient(pack_widths):
+    # (1 - q)^2 (1 + 2q + ... + 30 q^29) = 1 - 31 q^30 + 30 q^31: the
+    # quotient's bound 2 * 30 * 3 does not fit the first one-byte digits
+    c = {(e, 0): e + 1 for e in range(30)}
+    b = {(0, 0): 1, (1, 0): -2, (2, 0): 1}
+    a = P.pmul(b, c)
+    assert a == {(0, 0): 1, (30, 0): -31, (31, 0): 30}
+    assert P.pdivexact(a, b) == c
+    assert pack_widths == [1, 1, 2, 2]
+
+
+def test_prs_fallback_agrees(monkeypatch):
+    monkeypatch.setattr(PY, "_HEU_TRIES", 0)
+    rng = random.Random(17)
+    for i in range(40):
+        f = _planted_factor(rng, i)
+        a = PY.pmul(rand_poly(rng, terms=3), f)
+        b = PY.pmul(rand_poly(rng, terms=3), f)
+        if a and b:
+            assert PY.pgcd(a, b) == _ref_gcd(a, b)
+            assert PY.pdivexact(a, f) == _ref_divexact(a, f)
+
+
+def test_inexact_division_raises():
+    q1 = {(1, 0): 1, (0, 0): 1}
+    cases = [
+        ({(2, 0): 1, (0, 0): 1}, q1),                  # (q^2 + 1) / (q + 1)
+        ({(1, 0): 2, (0, 0): 1}, {(0, 0): 2}),         # (2q + 1) / 2
+        ({(1, 0): 2, (0, 0): 2}, {(1, 0): 4, (0, 0): 4}),  # (2q + 2) / (4q + 4)
+        (q1, {(2, 0): 1, (0, 0): 1}),                  # divisor of higher q-degree
+        (q1, {(0, 1): 1, (0, 0): 1}),                  # divisor of higher z-degree
+        ({(0, 1): 3, (1, 0): 3}, {(0, 1): 1, (1, 0): -1}),
+    ]
+    for a, b in cases:
+        with pytest.raises(ValueError):
+            P.pdivexact(a, b)
+        with pytest.raises(ValueError):
+            _ref_divexact(a, b)
+    with pytest.raises(ZeroDivisionError):
+        P.pdivexact(q1, {})
+
+
 def test_format():
     assert P.pformat(P.pzero()) == "0"
     assert P.pformat(P.pconst(1)) == "1"
@@ -125,8 +261,4 @@ def test_backend_parity():
         assert PY.pmul(a, b) == CY.pmul(a, b)
         assert PY.pneg(a) == CY.pneg(a)
         assert PY.peq(a, b) == CY.peq(a, b)
-        if not PY.pis_zero(b):
-            prod = PY.pmul(a, b)
-            assert PY.pgcd(a, b) == CY.pgcd(a, b)
-            if not PY.pis_zero(prod):
-                assert PY.pdivexact(prod, b) == CY.pdivexact(prod, b)
+        assert PY.pcontent(a) == CY.pcontent(a)
