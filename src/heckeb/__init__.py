@@ -4,7 +4,6 @@ and the band-move equation systems for its lens-space quotients."""
 
 __version__ = "0.1.0"
 
-from .poly import BACKEND  # noqa: F401
 from .scalars import HalfTwistScalar, RatFunc  # noqa: F401
 from .words import (  # noqa: F401
     LoopMonomial,
@@ -46,3 +45,7 @@ from .lens import (  # noqa: F401
     reduce_system,
 )
 from .verify import SUITES, run_all, run_suite  # noqa: F401
+
+# The polynomial implementation behind every result; benchmark runs
+# record it so that results from different implementations are not mixed.
+BACKEND = "python"

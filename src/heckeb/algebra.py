@@ -27,14 +27,10 @@ from __future__ import annotations
 import functools
 
 from . import poly as P
-from .words import LoopMonomial, MixedBraidWord, WordError, order_key
+from .words import MixedBraidWord, WordError, order_key
 
 _Q1 = {(1, 0): 1, (0, 0): -1}  # q - 1
 _QI1 = {(-1, 0): 1, (0, 0): -1}  # q^-1 - 1
-
-
-def _qmono(c, e):
-    return P.pmono(c, e, 0)
 
 
 def _times_qm1(c, e):
@@ -47,18 +43,6 @@ def _times_qm1(c, e):
 
 def perm_id(n):
     return tuple(range(n))
-
-
-def perm_mul(u, v):
-    """Composition u after v: (u v)[i] = u[v[i]]."""
-    return tuple(u[x] for x in v)
-
-
-def perm_inv(w):
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x] = i
-    return tuple(out)
 
 
 def perm_len(w):
@@ -595,17 +579,3 @@ def mul(a, b):
             cur = rmul_sigma(cur, i, 1)
         out = out.add(cur)
     return out
-
-
-def loop_element(m, n=None):
-    """Canonical form of a loop monomial (primed or commuting family)."""
-    if not isinstance(m, LoopMonomial):
-        raise WordError("expected a loop monomial")
-    word = m.as_word(n)
-    return project_braid(word)
-
-
-def element_of_word_text(text, n=None):
-    from .words import parse_word
-
-    return project_braid(parse_word(text, n=n))

@@ -99,6 +99,8 @@ def _cmd_imap(args):
 
 
 def _cmd_order(args):
+    if args.left == "-" and args.right == "-":
+        raise WordError("only one of the two words can be read from stdin")
     a = loop_monomial_of_word(parse_word(_read_word_arg(args.left), n=args.n))
     b = loop_monomial_of_word(parse_word(_read_word_arg(args.right), n=args.n))
     c = compare_order(a, b)
@@ -293,7 +295,7 @@ def build_parser():
 
     p = sub.add_parser("order", parents=[fmt], help="compare two loop words")
     p.add_argument("left", help="first loop word, or -")
-    p.add_argument("right", help="second loop word")
+    p.add_argument("right", help="second loop word, or - (not both)")
     p.add_argument("--n", type=int, default=None, help="strand count override")
     p.set_defaults(fn=_cmd_order)
 

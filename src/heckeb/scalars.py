@@ -188,10 +188,6 @@ class RatFunc:
             return self.inverse() ** (-n)
         return RatFunc._reduced(P.ppow(self.num, n), P.ppow(self.den, n))
 
-    def scale_poly(self, a):
-        """Multiply by a bare Laurent polynomial."""
-        return RatFunc._product(self.num, self.den, a, P.PONE)
-
     # -- output ---------------------------------------------------------
 
     def __str__(self):

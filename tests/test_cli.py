@@ -161,6 +161,18 @@ def test_stdin_word(capsys, monkeypatch):
     assert out == "s[2]s[3]\n"
 
 
+def test_order_reads_one_word_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("t^2\n"))
+    code, out, _ = run(capsys, "order", "-", "1")
+    assert (code, out) == (0, "Greater\n")
+    # stdin holds one word; a second read would give the empty word
+    monkeypatch.setattr("sys.stdin", io.StringIO("t^2\n"))
+    code, out, err = run(capsys, "order", "-", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "trace", "garbage(", "--n", "2")
     assert code == 1
