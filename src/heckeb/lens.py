@@ -3,7 +3,9 @@
 A band move with modulus p turns a loop monomial tau into t^p tau_+ s_1^e
 (indices shifted up, e = +-1) and imposes the trace identity assembled by
 bbm_equation. generate_system collects those identities for every source
-of weighted level 0..k_max on one side of the exponent sign split.
+of weighted level 0..k_max on one side of the exponent sign split, both
+signs of a source at once through bbm_equation_pair, which traces the
+source once and projects the stem t^p tau_+ of the two images once.
 mirror_system pushes a negative-side bundle through the index/coefficient
 flip map, and reduce_system runs exact Gaussian elimination over the
 rational-function field, orienting each relation so that the monomial
@@ -24,7 +26,7 @@ from .trace import (
     Equation,
     TraceDomainError,
     TraceValue,
-    bbm_equation,
+    bbm_equation_pair,
     map_I,
     mono_level,
     mono_str,
@@ -59,8 +61,7 @@ def generate_system(p, k_max, side="+"):
     for k in range(k_max + 1):
         lvl = k if side == "+" else -k
         for m in enumerate_level(lvl, side):
-            for sign in (1, -1):
-                eqs.append(bbm_equation(m, sign, p))
+            eqs.extend(bbm_equation_pair(m, p))
     return SystemBundle(p, k_max, side, tuple(eqs))
 
 

@@ -10,7 +10,9 @@ packed into integers by Kronecker substitution, CPython's integer gcd or
 divmod does the work, and the unpacked result is accepted only when a
 coefficient bound and a degree check prove it multiplies back to the
 inputs (heuristic gcd, GCDHEU). A rejected candidate is retried with a
-wider packing; a primitive remainder sequence is the last resort.
+wider packing; a primitive remainder sequence is the last resort. pgcd
+returns the two cofactors with the gcd, so reducing a fraction takes no
+division.
 """
 
 import math
@@ -212,7 +214,9 @@ def pformat(a, vars=("q", "z")):
 #     H(X)C(X) = A(X) means H*C = A in Z[t] for q = t, z = t^D;
 #   * deg_q H + deg_q C < D: no q-power of H*C wraps into the z-digits.
 # By the GCDHEU theorem a gcd candidate that passes (for A and B) is the
-# gcd. A nonzero remainder of A(X) // B(X) proves b does not divide a.
+# gcd, and the two checked cofactors are A/H and B/H, so pgcd returns
+# them instead of dividing again. A nonzero remainder of A(X) // B(X)
+# proves b does not divide a.
 #
 # Retries. Integer images can share a factor the polynomials do not:
 # z - q - qz and q - 1 - z both map to multiples of t^2 - t + 1 at D = 2,
@@ -288,8 +292,9 @@ def _product_bound(h, c, d):
 
 
 def _heu_gcd(a, b):
-    """The gcd of primitive a and b (min exponents (0, 0)) up to sign, or
-    None when no packing in _HEU_TRIES proved a candidate."""
+    """(g, a/g, b/g) for primitive a and b (min exponents (0, 0)) and g
+    their gcd up to sign, or None when no packing in _HEU_TRIES proved a
+    candidate."""
     d = 1 + max(max(a)[0], max(b)[0])
     w = _width(max(_norm(a), _norm(b)) * min(len(a), len(b)))
     for _ in range(_HEU_TRIES):
@@ -297,18 +302,20 @@ def _heu_gcd(a, b):
         y = _pack(b, d, w)
         h = math.gcd(x, y)
         if h == 1:
-            return {(0, 0): 1}
+            return {(0, 0): 1}, a, b
         g = _unpack(h, d, w)
         c = math.gcd(*g.values())
         if c != 1:
             g = {k: v // c for k, v in g.items()}
             h //= c
         half = 1 << (8 * w - 1)
-        bound = _product_bound(g, _unpack(x // h, d, w), d)
+        ca = _unpack(x // h, d, w)
+        bound = _product_bound(g, ca, d)
         if bound is not None and bound < half:
-            bound = _product_bound(g, _unpack(y // h, d, w), d)
+            cb = _unpack(y // h, d, w)
+            bound = _product_bound(g, cb, d)
             if bound is not None and bound < half:
-                return g
+                return g, ca, cb
         d += 1
         w = _width(max(bound or 0, half))
     return None
@@ -335,23 +342,32 @@ def _heu_divexact(a, b):
     return None
 
 
-def pgcd(a, b):
-    """A gcd of two Laurent polynomials, up to a monomial unit.
+def _cofactor(f, k, qe, ze):
+    """k q^qe z^ze f; f itself when that is f (pgcd owns every f)."""
+    if k == 1 and not qe and not ze:
+        return f
+    return {(e[0] + qe, e[1] + ze): v * k for e, v in f.items()}
 
-    The result has minimal exponents (0, 0), integer content the gcd of
-    the inputs' contents, and its lex-greatest term positive; for a zero
-    argument the other is returned (shifted likewise). Monomials are
-    units here, so callers reduce fractions with it rather than compare
-    it against a unique normal form.
+
+def pgcd(a, b):
+    """(g, a/g, b/g) for g a gcd of two Laurent polynomials, up to a
+    monomial unit.
+
+    g has minimal exponents (0, 0), integer content the gcd of the
+    inputs' contents, and its lex-greatest term positive; for a zero
+    argument g is the other one, shifted likewise (all three are zero
+    when both are). Monomials are units here, so callers reduce fractions
+    with it rather than compare it against a unique normal form. The
+    cofactors are exact: g * (a/g) == a.
     """
-    if not a:
-        if not b:
-            return {}
-        qm, zm = pminexp(b)
-        return pshift(b, -qm, -zm)
     if not b:
+        if not a:
+            return {}, {}, {}
         qm, zm = pminexp(a)
-        return pshift(a, -qm, -zm)
+        return pshift(a, -qm, -zm), {(qm, zm): 1}, {}
+    if not a:
+        g, fb, fa = pgcd(b, a)
+        return g, fa, fb
     qa, za = pminexp(a)
     qb, zb = pminexp(b)
     a = pshift(a, -qa, -za)
@@ -362,20 +378,24 @@ def pgcd(a, b):
         a = {k: v // ca for k, v in a.items()}
     if cb != 1:
         b = {k: v // cb for k, v in b.items()}
+    # a = g * fa and b = g * fb, with g primitive up to sign
     if len(a) == 1 or len(b) == 1:
-        out = {(0, 0): 1}
+        g, fa, fb = {(0, 0): 1}, a, b
     elif a == b:
-        out = a
+        g, fa, fb = a, {(0, 0): 1}, {(0, 0): 1}
     else:
         out = _heu_gcd(a, b)
         if out is None:
-            out = _join_z(_zgcd(_split_z(a), _split_z(b)))
+            sa, sb = _split_z(a), _split_z(b)
+            G = _zgcd(sa, sb)
+            out = _join_z(G), _join_z(_zdivexact(sa, G)), _join_z(_zdivexact(sb, G))
+        g, fa, fb = out
     c = math.gcd(ca, cb)
-    if out[max(out)] < 0:
+    if g[max(g)] < 0:
         c = -c
     if c != 1:
-        out = {k: v * c for k, v in out.items()}
-    return out
+        g = {k: v * c for k, v in g.items()}
+    return g, _cofactor(fa, ca // c, qa, za), _cofactor(fb, cb // c, qb, zb)
 
 
 def pdivexact(a, b):

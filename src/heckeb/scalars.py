@@ -18,7 +18,9 @@ TAOCP vol. 2, 4.5.1), because their inputs are already reduced:
     and d are coprime, no gcd is taken at all; when b = d, g = b.
   * powers are powers of num and den, which stay coprime.
 
-A gcd against a monomial reduces to an integer gcd of contents, because
+Each cancellation is one call of P.pgcd, which returns the cofactors
+a/g and b/g with the gcd, so no exact division follows it. A gcd
+against a monomial reduces to an integer gcd of contents, because
 monomials are units.
 
 The module also provides the loop-removal constant lam = (z+1-q)/(qz),
@@ -34,26 +36,21 @@ import math
 from . import poly as P
 
 
-def _gcd(a, b):
-    """A gcd of nonzero a and b: minimal exponents (0, 0), positive content."""
-    if P.pis_monomial(a):
-        a, b = b, a
-    if P.pis_monomial(b):
-        c = P.pcontent(b)
-        return P.pconst(c if c == 1 else math.gcd(P.pcontent(a), c))
-    return P.pgcd(a, b)
-
-
 def _cancel(a, b):
-    """(a/g, b/g, g) for g = _gcd(a, b)."""
-    g = _gcd(a, b)
-    if P.peq(g, P.PONE):
-        return a, b, g
-    if P.pis_monomial(g):
-        # an integer, possibly not 1: gcd(3 - 3z, 3z - 3q) = 3
-        c = g[(0, 0)]
-        return P.pdivexact_int(a, c), P.pdivexact_int(b, c), g
-    return P.pdivexact(a, g), P.pdivexact(b, g), g
+    """(a/g, b/g, g) for g a gcd of nonzero a and b, normalized as by
+    P.pgcd."""
+    mono = a if P.pis_monomial(a) else b if P.pis_monomial(b) else None
+    if mono is not None:
+        # monomials are units, so only an integer can cancel:
+        # gcd(3 - 3z, 3z) = 3
+        c = P.pcontent(mono)
+        if c != 1:
+            c = math.gcd(P.pcontent(a), P.pcontent(b))
+        if c == 1:
+            return a, b, P.PONE
+        return P.pdivexact_int(a, c), P.pdivexact_int(b, c), P.pconst(c)
+    g, a, b = P.pgcd(a, b)
+    return a, b, g
 
 
 class RatFunc:

@@ -14,7 +14,9 @@ where e is the braiding exponent sum, w^2 = lam, and d = w q/(z+1-q).
 map_I is the variable flip q -> q^{-1}, z -> lam z extended to s-indices
 for a modulus p, and bbm_equation assembles the trace identity a band
 move imposes, checking that its coefficient is the ratio of the two
-closure scalars.
+closure scalars. bbm_equation_pair assembles both signs of one source
+from one trace of the source and one projection of the shared stem of
+the two image words.
 """
 
 from __future__ import annotations
@@ -387,6 +389,42 @@ def bbm_coefficient(level, sign):
     return lam_pow(k) * rf_mono(1, 0, -1)
 
 
+def _bbm_equations(m, signs, p):
+    """bbm_equation(m, sign, p) for each sign in signs.
+
+    The images t^p tau_+ g1^sign differ only in their last letter, so the
+    stem t^p tau_+ is projected once and each image is the stem times
+    g1^sign. The source is traced once; each equation gets its own copy.
+    """
+    if not isinstance(m, LoopMonomial):
+        raise WordError("expected a loop monomial")
+    images = [bbm_image(m, sign, p) for sign in signs]
+    word_src = m.as_word()
+    c_src = closure_scalar(word_src)
+    lhs = trace_of_word(word_src)
+    stem = project_braid(MixedBraidWord(images[0].n, images[0].letters[:-1]))
+    out = []
+    for sign, word_img in zip(signs, images):
+        coeff = bbm_coefficient(m.level, sign)
+        if closure_scalar(word_img) != c_src.scale(coeff):
+            raise RuntimeError(
+                "band move coefficient %s is not the closure-scalar ratio for %s"
+                % (coeff, m)
+            )
+        out.append(
+            Equation(
+                source=m,
+                sign=sign,
+                p=p,
+                level=m.level,
+                coeff=coeff,
+                lhs=TraceValue(dict(lhs.terms)),
+                rhs=trace(rmul_sigma(stem, 1, sign)).scale(coeff),
+            )
+        )
+    return out
+
+
 def bbm_equation(m, sign, p):
     """The band move equation of a gap-free commuting loop monomial.
 
@@ -396,24 +434,10 @@ def bbm_equation(m, sign, p):
     coefficient that is not this ratio means the coefficient or the
     bookkeeping broke, and raises RuntimeError.
     """
-    if not isinstance(m, LoopMonomial):
-        raise WordError("expected a loop monomial")
-    word_src = m.as_word()
-    word_img = bbm_image(m, sign, p)
-    lhs = trace_of_word(word_src)
-    raw = trace_of_word(word_img)
-    coeff = bbm_coefficient(m.level, sign)
-    if closure_scalar(word_img) != closure_scalar(word_src).scale(coeff):
-        raise RuntimeError(
-            "band move coefficient %s is not the closure-scalar ratio for %s"
-            % (coeff, m)
-        )
-    return Equation(
-        source=m,
-        sign=sign,
-        p=p,
-        level=m.level,
-        coeff=coeff,
-        lhs=lhs,
-        rhs=raw.scale(coeff),
-    )
+    return _bbm_equations(m, (sign,), p)[0]
+
+
+def bbm_equation_pair(m, p):
+    """The two band move equations of m, signs +1 then -1, from one trace
+    of the source and one projection of the shared image stem."""
+    return tuple(_bbm_equations(m, (1, -1), p))

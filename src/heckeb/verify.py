@@ -17,7 +17,7 @@ from .lens import compare_mirror
 from .scalars import RF_ZERO, RatFunc, lam, rf_invmap, rf_mono, rf_z
 from .trace import (
     TraceValue,
-    bbm_equation,
+    bbm_equation_pair,
     invariant_x,
     map_I,
     mono_level,
@@ -43,6 +43,14 @@ RF_Q = rf_mono(1, 1, 0)
 RF_QI = rf_mono(1, -1, 0)
 RF_Q1 = RF_Q - rf_mono(1)
 RF_QI1 = RF_QI - rf_mono(1)
+
+
+def _modulus(suite, p, least):
+    """p as an int; ValueError when it is below the suite's least modulus."""
+    p = int(p)
+    if p < least:
+        raise ValueError("suite %s needs p >= %d" % (suite, least))
+    return p
 
 
 def _report(suite, checked, failures, params, notes=()):
@@ -553,6 +561,11 @@ def suite_lemma3(n=3, k=5):
     return _report("lemma3", checked, failures, {"n": n, "k": k})
 
 
+def _s_mono(*indices):
+    """The s-monomial of the given indices; s_0 = 1 drops out."""
+    return tuple(sorted(j for j in indices if j))
+
+
 def _axis_move_goldens(p):
     """The four displayed two-strand trace expansions at axis power p."""
     q1 = _Q1
@@ -560,29 +573,29 @@ def _axis_move_goldens(p):
     qinv = {(-1, 0): 1}
     out = []
     want = TraceValue.zero()
-    want.add_term(tuple(sorted((1, p))), RatFunc.from_poly(P.pmul({(1, 0): 1}, q1)))
+    want.add_term(_s_mono(1, p), RatFunc.from_poly(P.pmul({(1, 0): 1}, q1)))
     want.add_term(
-        (p + 1,),
+        _s_mono(p + 1),
         RatFunc.from_poly(P.padd(P.pshift(P.pmul(q1, q1), 0, 1), P.pmono(1, 1, 1))),
     )
     out.append(("t^%d t1 g1" % p, want))
     want = TraceValue.zero()
-    want.add_term(tuple(sorted((1, p))), rf_mono(1, 1, 0))
-    want.add_term((p + 1,), RatFunc.from_poly({(1, 1): 1, (0, 1): -1}))
+    want.add_term(_s_mono(1, p), rf_mono(1, 1, 0))
+    want.add_term(_s_mono(p + 1), RatFunc.from_poly({(1, 1): 1, (0, 1): -1}))
     out.append(("t^%d t1" % p, want))
     want = TraceValue.zero()
-    want.add_term(tuple(sorted((-1, p))), rf_mono(1, -1, 0))
+    want.add_term(_s_mono(-1, p), rf_mono(1, -1, 0))
     c = P.padd(P.pshift(P.pmul(qinv, qi1), 0, 1), P.pmul(qi1, qi1))
-    want.add_term((p - 1,), RatFunc.from_poly(c))
+    want.add_term(_s_mono(p - 1), RatFunc.from_poly(c))
     out.append(("t^%d t1^-1" % p, want))
     want = TraceValue.zero()
-    want.add_term(tuple(sorted((-1, p))), RatFunc.from_poly(P.pmul(qinv, qi1)))
+    want.add_term(_s_mono(-1, p), RatFunc.from_poly(P.pmul(qinv, qi1)))
     c = P.pzero()
     c = P.padd(c, P.pshift(P.pmul(qinv, P.pmul(qi1, qi1)), 0, 1))
     c = P.padd(c, P.pmul(qi1, P.pmul(qi1, qi1)))
     c = P.padd(c, P.pmul(qinv, qi1))
     c = P.padd(c, P.pmono(1, -2, 1))
-    want.add_term((p - 1,), RatFunc.from_poly(c))
+    want.add_term(_s_mono(p - 1), RatFunc.from_poly(c))
     out.append(("t^%d t1^-1 g1^-1" % p, want))
     return out
 
@@ -595,7 +608,7 @@ def suite_lemma4(p=None, k=3):
     recursion back to the engine trace, and the value-level image equality
     exactly where it holds (below the twist modulus).
     """
-    p_list = (2, 3) if p is None else (int(p),)
+    p_list = (2, 3) if p is None else (_modulus("lemma4", p, 1),)
     failures = []
     checked = 0
     for pp in p_list:
@@ -685,7 +698,7 @@ def suite_theorem9(p=3, k=3):
     """
     failures = []
     checked = 0
-    for pp in range(1, int(p) + 1):
+    for pp in range(1, _modulus("theorem9", p, 1) + 1):
         rep = compare_mirror(pp, k)
         checked += len(rep["entries"])
         if not rep["exact_below_p"]:
@@ -742,7 +755,7 @@ def suite_theorem9(p=3, k=3):
 
 def suite_prop2(p=None, k=3):
     """Exponent-flipped sources trace into the image of the flip map."""
-    p_list = (2, 3) if p is None else (int(p),)
+    p_list = (2, 3) if p is None else (_modulus("prop2", p, 0),)
     failures = []
     checked = 0
     for kk in range(0, int(k) + 1):
@@ -771,8 +784,7 @@ def suite_grading(p=2, k=4):
     checked = 0
     for kk in range(0, int(k) + 1):
         for m in enumerate_level(kk, "+"):
-            for sign in (1, -1):
-                eq = bbm_equation(m, sign, p)
+            for eq in bbm_equation_pair(m, p):
                 checked += 1
                 bad = [
                     mono_str(mono)
@@ -787,7 +799,7 @@ def suite_grading(p=2, k=4):
                     failures.append(
                         {
                             "source": str(m),
-                            "sign": str(sign),
+                            "sign": str(eq.sign),
                             "off-level": ", ".join(bad),
                         }
                     )

@@ -154,6 +154,24 @@ def test_verify_grading(capsys):
     assert out == "grading: PASS (checked 16)\n"
 
 
+def test_verify_lemma4_at_modulus_one(capsys):
+    # s_{p-1} is s_0 = 1 in the displayed goldens at p = 1
+    code, out, _ = run(capsys, "verify", "--suite", "lemma4", "--p", "1")
+    assert code == 0
+    assert out.startswith("lemma4: PASS (checked ")
+
+
+@pytest.mark.parametrize(
+    "suite, p",
+    [("lemma4", "0"), ("lemma4", "-2"), ("theorem9", "0"), ("prop2", "-1")],
+)
+def test_verify_rejects_out_of_range_modulus(capsys, suite, p):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--p", p)
+    assert code == 1
+    assert out == ""
+    assert err == "error: suite %s needs p >= %d\n" % (suite, 0 if suite == "prop2" else 1)
+
+
 def test_stdin_word(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("t^2 t1'^3\n"))
     code, out, _ = run(capsys, "trace", "-", "--n", "2")

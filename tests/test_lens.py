@@ -14,8 +14,8 @@ from heckeb.lens import (
     reduce_value,
 )
 from heckeb.scalars import RF_ONE, rf_mono, rf_z
-from heckeb.trace import TraceValue, bbm_equation
-from heckeb.words import enumerate_level
+from heckeb.trace import TraceValue, bbm_equation, trace_of_word
+from heckeb.words import bbm_image, enumerate_level
 
 Q = rf_mono(1, 1, 0)
 QI = rf_mono(1, -1, 0)
@@ -35,6 +35,21 @@ def test_generate_system_shape():
     # sources at level k; each contributes one equation per sign
     b3 = generate_system(2, 3, "+")
     assert len(b3.equations) == 2 * (1 + sum(2 ** (k - 1) for k in (1, 2, 3)))
+
+
+def test_generate_system_matches_single_sign_equations():
+    # generate_system traces each source once and projects the shared
+    # image stem once; each equation must equal the per-sign
+    # bbm_equation and the re-derivation from its two words
+    for p in (1, 2, 3, 4):
+        for side in ("+", "-"):
+            for e in generate_system(p, 3, side).equations:
+                ref = bbm_equation(e.source, e.sign, p)
+                assert e.lhs == ref.lhs and e.rhs == ref.rhs, (p, side, str(e.source))
+                assert e.coeff == ref.coeff and e.level == ref.level
+                assert e.lhs == trace_of_word(e.source.as_word())
+                img = trace_of_word(bbm_image(e.source, e.sign, p))
+                assert e.rhs == img.scale(e.coeff)
 
 
 def test_generate_system_negative_side():

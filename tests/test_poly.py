@@ -88,20 +88,21 @@ def test_gcd_divides_and_sees_common_factor():
         c = rand_poly(rng, terms=3)
         if P.pis_zero(a) or P.pis_zero(b) or P.pis_zero(c):
             continue
-        g = P.pgcd(P.pmul(a, c), P.pmul(b, c))
+        g, fa, fb = P.pgcd(P.pmul(a, c), P.pmul(b, c))
         # g divides both inputs and is itself divisible by the planted factor
-        assert P.peq(P.pmul(P.pdivexact(P.pmul(a, c), g), g), P.pmul(a, c))
-        assert P.peq(P.pmul(P.pdivexact(P.pmul(b, c), g), g), P.pmul(b, c))
+        assert P.peq(P.pmul(fa, g), P.pmul(a, c))
+        assert P.peq(P.pmul(fb, g), P.pmul(b, c))
         P.pdivexact(g, c)
 
 
 def test_gcd_of_zero():
     # gcd is defined up to a monomial unit: zero cases return the other
-    # argument shifted so its minimal exponents sit at the origin
+    # argument shifted so its minimal exponents sit at the origin, and the
+    # cofactors are zero and that shift
     a = {(1, 0): 2}
-    assert P.pgcd(a, P.pzero()) == {(0, 0): 2}
-    assert P.pgcd(P.pzero(), a) == {(0, 0): 2}
-    assert P.pgcd(P.pzero(), P.pzero()) == {}
+    assert P.pgcd(a, P.pzero()) == ({(0, 0): 2}, {(1, 0): 1}, {})
+    assert P.pgcd(P.pzero(), a) == ({(0, 0): 2}, {}, {(1, 0): 1})
+    assert P.pgcd(P.pzero(), P.pzero()) == ({}, {}, {})
 
 
 def _ref_gcd(a, b):
@@ -122,6 +123,18 @@ def _ref_divexact(a, b):
     out = P._zdivexact(P._split_z(P.pshift(a, -qa, -za)),
                        P._split_z(P.pshift(b, -qb, -zb)))
     return P.pshift(P._join_z(out), qa - qb, za - zb)
+
+
+def _assert_gcd(a, b):
+    """pgcd(a, b) against the PRS references: the gcd, and cofactors equal
+    to long division by it that multiply back to the inputs."""
+    g, fa, fb = P.pgcd(a, b)
+    assert g == _ref_gcd(a, b)
+    assert fa == _ref_divexact(a, g)
+    assert fb == _ref_divexact(b, g)
+    assert P.pmul(g, fa) == a
+    assert P.pmul(g, fb) == b
+    return g
 
 
 def _planted_factor(rng, i):
@@ -149,10 +162,9 @@ def test_gcd_and_division_match_prs():
             continue
         a = P.pscale(P.pmul(a, f), rng.choice([1, 1, 3, 6, -2]))
         b = P.pscale(P.pmul(b, f), rng.choice([1, 3, 9]))
-        assert P.pgcd(a, b) == _ref_gcd(a, b)
-        assert P.pgcd(b, a) == _ref_gcd(b, a)
+        g = _assert_gcd(a, b)
+        _assert_gcd(b, a)
         assert P.pdivexact(a, f) == _ref_divexact(a, f)
-        g = P.pgcd(a, b)
         assert P.pdivexact(b, g) == _ref_divexact(b, g)
         try:
             q = _ref_divexact(a, b)
@@ -172,8 +184,9 @@ def test_gcd_rejects_wrapped_common_factor():
     b = {(0, 0): -1, (0, 1): -1, (1, 0): 1}
     x, y = P._pack(a, 2, 1), P._pack(b, 2, 1)
     assert P._unpack(math.gcd(x, y), 2, 1) == {(0, 0): 1, (0, 1): 1, (1, 0): -1}
-    assert P.pgcd(a, b) == {(0, 0): 1}
-    assert P.pgcd(P.pshift(a, -2, 3), b) == {(0, 0): 1}
+    assert P.pgcd(a, b) == ({(0, 0): 1}, a, b)
+    a = P.pshift(a, -2, 3)
+    assert P.pgcd(a, b) == ({(0, 0): 1}, a, b)
 
 
 @pytest.fixture
@@ -193,7 +206,8 @@ def pack_widths(monkeypatch):
 def test_gcd_strips_integer_factor_of_image(pack_widths):
     # (256 + 2, 3 * 256 + 2) = 2: the candidate 2 is the unit 1 times a
     # stray integer factor, and must pass on the first packing
-    assert P.pgcd({(0, 0): 2, (1, 0): 1}, {(0, 0): 2, (1, 0): 3}) == {(0, 0): 1}
+    a, b = {(0, 0): 2, (1, 0): 1}, {(0, 0): 2, (1, 0): 3}
+    assert P.pgcd(a, b) == ({(0, 0): 1}, a, b)
     assert pack_widths == [1, 1]
 
 
@@ -216,8 +230,32 @@ def test_prs_fallback_agrees(monkeypatch):
         a = P.pmul(rand_poly(rng, terms=3), f)
         b = P.pmul(rand_poly(rng, terms=3), f)
         if a and b:
-            assert P.pgcd(a, b) == _ref_gcd(a, b)
+            _assert_gcd(a, b)
             assert P.pdivexact(a, f) == _ref_divexact(a, f)
+
+
+def test_gcd_cofactors_on_every_branch():
+    qm1 = {(1, 0): 1, (0, 0): -1}
+    u = {(0, 0): 2, (0, 1): 1}
+    v = {(2, 0): 1, (0, 1): -3}
+    cases = [
+        # a monomial: only the integer content can be shared
+        ({(2, 1): 6}, {(0, 0): 4, (1, 3): -2}),
+        ({(-1, 0): -5}, {(0, 0): 3, (1, 0): 1}),
+        # equal primitive parts, one shifted, with contents 3 and 6
+        (P.pshift(P.pscale(qm1, 3), 1, -2), P.pscale(qm1, 6)),
+        # equal primitive parts whose lex-greatest term is negative, so
+        # the gcd's sign flips and both cofactors are negative constants
+        (P.pscale(qm1, -3), P.pscale(P.pshift(qm1, 0, 2), -6)),
+        # the heuristic, with negative contents and a common factor
+        (P.pscale(P.pmul(qm1, u), -4), P.pscale(P.pmul(qm1, v), -6)),
+        (P.pscale(P.pmul(P.pneg(qm1), u), 2), P.pmul(qm1, v)),
+    ]
+    for a, b in cases:
+        _assert_gcd(a, b)
+        _assert_gcd(b, a)
+    g, fa, fb = P.pgcd(P.pscale(qm1, -3), P.pscale(qm1, -6))
+    assert (g, fa, fb) == ({(1, 0): 3, (0, 0): -3}, {(0, 0): -1}, {(0, 0): -2})
 
 
 def test_inexact_division_raises():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from heckeb.lens import generate_system
 from heckeb.scalars import (
     RF_ONE,
     HalfTwistScalar,
@@ -20,6 +21,7 @@ from heckeb.trace import (
     TraceValue,
     bbm_coefficient,
     bbm_equation,
+    bbm_equation_pair,
     closure_scalar,
     invariant_x,
     map_I,
@@ -248,6 +250,30 @@ def test_bbm_equation_rejects_wrong_coefficient(monkeypatch):
         for sign in (1, -1):
             with pytest.raises(RuntimeError):
                 bbm_equation(m, sign, 2)
+        with pytest.raises(RuntimeError):
+            bbm_equation_pair(m, 2)
+    # the lens job assembles its equations through the pair path
+    for side in ("+", "-"):
+        with pytest.raises(RuntimeError):
+            generate_system(2, 1, side)
+
+
+def test_pair_equations_own_their_traces():
+    m = LoopMonomial(((0, 1),))
+    want = trace_of_word(m.as_word())
+    eq_plus, eq_minus = bbm_equation_pair(m, 2)
+    assert (eq_plus.sign, eq_minus.sign) == (1, -1)
+    eq_plus.lhs.add_term((1,), RF_ONE)
+    eq_plus.lhs.terms[(7,)] = RF_ONE
+    eq_plus.rhs.terms.clear()
+    assert eq_minus.lhs == want
+    assert eq_minus.rhs == bbm_equation(m, -1, 2).rhs
+    assert trace_of_word(m.as_word()) == want
+    b = generate_system(2, 1, "+")
+    first, second = b.equations[:2]
+    assert first.source == second.source
+    first.lhs.terms.clear()
+    assert second.lhs == TraceValue({(): RF_ONE})
 
 
 def test_bbm_equation_to_json():
