@@ -4,7 +4,7 @@ and the band-move equation systems for its lens-space quotients."""
 
 __version__ = "0.1.0"
 
-from .scalars import HalfTwistScalar, RatFunc  # noqa: F401
+from .scalars import RatFunc  # noqa: F401
 from .words import (  # noqa: F401
     LoopMonomial,
     MixedBraidWord,

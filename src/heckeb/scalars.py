@@ -24,9 +24,11 @@ against a monomial reduces to an integer gcd of contents, because
 monomials are units.
 
 The module also provides the loop-removal constant lam = (z+1-q)/(qz),
-the framing unit w with w^2 = lam (class HalfTwistScalar), and the
-variable substitution map q -> q^{-1}, z -> lam*z (invmap), which is an
-involution on the field.
+the variable substitution map q -> q^{-1}, z -> lam*z (invmap), which is
+an involution on the field, and the closure scalars d^m w^e in closed
+form (delta_pow). The framing unit w has w^2 = lam and is not in the
+field, so a closure scalar is a fraction r with a parity bit: r w^0 or
+r w^1. The normalization constant d = w q/(z+1-q) has d w = 1/z.
 """
 
 from __future__ import annotations
@@ -260,103 +262,17 @@ def rf_invmap(r):
     return invmap_poly(r.num) / invmap_poly(r.den)
 
 
-class HalfTwistScalar:
-    """An element even + odd*w of the quadratic extension with w^2 = lam.
+def delta_pow(m, e=0):
+    """d^m w^e as (RatFunc, parity): the value is r * w^parity.
 
-    The unit w tracks half framing twists: w^2 = lam exactly, and the
-    normalization constant for closures is delta = w * q/(z+1-q) so that
-    delta * w = 1/z.
+    d = w q/N and w^2 = lam = N/(q z) with N = z+1-q, so with s = m + e
+    and a = floor(s/2), d^m w^e = N^(a-m) q^(m-a) z^(-a) w^(s mod 2).
+    N^k and monomials are coprime, so the fraction needs no gcd.
     """
-
-    __slots__ = ("even", "odd")
-
-    def __init__(self, even, odd=None):
-        self.even = even
-        self.odd = RF_ZERO if odd is None else odd
-
-    @staticmethod
-    def from_rf(r):
-        return HalfTwistScalar(r, RF_ZERO)
-
-    @staticmethod
-    def w_power(e):
-        """w^e folded to even/odd parts using w^2 = lam."""
-        body = lam_pow(e // 2)
-        if e % 2:
-            return HalfTwistScalar(RF_ZERO, body)
-        return HalfTwistScalar(body, RF_ZERO)
-
-    def is_zero(self):
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfTwistScalar):
-            return NotImplemented
-        return self.even == other.even and self.odd == other.odd
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
-    __hash__ = None
-
-    def __add__(self, other):
-        return HalfTwistScalar(self.even + other.even, self.odd + other.odd)
-
-    def __sub__(self, other):
-        return HalfTwistScalar(self.even - other.even, self.odd - other.odd)
-
-    def __neg__(self):
-        return HalfTwistScalar(-self.even, -self.odd)
-
-    def __mul__(self, other):
-        lm = lam()
-        return HalfTwistScalar(
-            self.even * other.even + self.odd * other.odd * lm,
-            self.even * other.odd + self.odd * other.even,
-        )
-
-    def scale(self, r):
-        return HalfTwistScalar(self.even * r, self.odd * r)
-
-    def inverse(self):
-        nrm = self.even * self.even - self.odd * self.odd * lam()
-        if nrm.is_zero():
-            raise ZeroDivisionError("non-invertible half-twist scalar")
-        inv = nrm.inverse()
-        return HalfTwistScalar(self.even * inv, -(self.odd * inv))
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = HalfTwistScalar.from_rf(RF_ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __str__(self):
-        if self.odd.is_zero():
-            return str(self.even)
-        if self.even.is_zero():
-            return "(%s) * w" % self.odd
-        return "(%s) + (%s) * w" % (self.even, self.odd)
-
-    def __repr__(self):
-        return "HalfTwistScalar(%s)" % self
-
-    def to_json(self):
-        return {"even": self.even.to_json(), "odd": self.odd.to_json()}
-
-
-def delta():
-    """Closure normalization constant: delta = w * q/(z+1-q), delta*w = 1/z."""
-    return HalfTwistScalar(RF_ZERO, RatFunc(P.pmono(1, 1, 0), big_n()))
-
-
-def delta_pow(m):
-    return delta() ** m
+    s = m + e
+    a = s // 2
+    if a >= m:
+        num, den = P.pshift(P.ppow(big_n(), a - m), m - a, -a), P.pconst(1)
+    else:
+        num, den = P.pmono(1, m - a, -a), P.ppow(big_n(), m - a)
+    return RatFunc._reduced(num, den), s % 2

@@ -7,12 +7,20 @@ s_k (k a nonzero integer), one s per surviving loop exponent:
   * tr(X g_{n-1} Y) = z tr(X Y) when X, Y use only the first n-1 strands;
   * tr is linear and computed by peeling the top strand.
 
+Each distinct raw trace value is stored once: words with equal traces
+share one interned dict, so the trace of an element sums the
+coefficients of the words that share a value and multiplies each value
+once.
+
 TraceValue holds such a value with rational-function coefficients.
 invariant_x rescales a closed-braid trace into the ambient-isotopy
 invariant X = c(w) tr(w), with the closure scalar c(w) = d^{n-1} w^e,
 where e is the braiding exponent sum, w^2 = lam, and d = w q/(z+1-q).
-map_I is the variable flip q -> q^{-1}, z -> lam z extended to s-indices
-for a modulus p, and bbm_equation assembles the trace identity a band
+With m = n-1+e, a = floor(m/2) and N = z+1-q, c(w) is the fraction
+N^(a-(n-1)) q^((n-1)-a) z^(-a) times w^(m mod 2), so an XValue is a
+parity bit and rational-function terms. map_I is the variable flip
+q -> q^{-1}, z -> lam z extended to s-indices for a modulus p, and
+bbm_equation assembles the trace identity a band
 move imposes, checking that its coefficient is the ratio of the two
 closure scalars. bbm_equation_pair assembles both signs of one source
 from one trace of the source and one projection of the shared stem of
@@ -35,7 +43,6 @@ from .algebra import (
     rmul_sigma,
 )
 from .scalars import (
-    HalfTwistScalar,
     RatFunc,
     RF_ONE,
     RF_ZERO,
@@ -66,6 +73,14 @@ def _mono_insert(m, k):
 # -- raw trace over polynomial coefficients --------------------------------
 
 _trace_cache = {}
+# one shared dict per distinct trace value, keyed by its (monomial,
+# coefficient items) pairs; callers never mutate a cached value
+_trace_values = {}
+
+
+def _intern(out):
+    key = frozenset((m, frozenset(v.items())) for m, v in out.items())
+    return _trace_values.setdefault(key, out)
 
 
 def _trace_word(n, loops, perm):
@@ -78,7 +93,7 @@ def _trace_word(n, loops, perm):
             out = {(loops[0][1],): P.pconst(1)}
         else:
             out = {(): P.pconst(1)}
-        _trace_cache[key] = out
+        out = _trace_cache[key] = _intern(out)
         return out
     top = n - 1
     top_loop = loops[-1][1] if loops and loops[-1][0] == top else None
@@ -101,15 +116,23 @@ def _trace_word(n, loops, perm):
             el = rmul_sigma(el, i, 1)
         inner = _trace_element(el)
         out = {m: P.pshift(v, 0, 1) for m, v in inner.items()}
-    _trace_cache[key] = out
+    out = _trace_cache[key] = _intern(out)
     return out
 
 
 def _trace_element(el):
-    out = {}
+    # words with one interned trace value share one product per monomial
+    groups = {}
     for (loops, perm), c in el.terms.items():
-        for m, v in _trace_word(el.n, loops, perm).items():
-            prod = P.pmul(c, v)
+        v = _trace_word(el.n, loops, perm)
+        hit = groups.get(id(v))
+        groups[id(v)] = (v, c) if hit is None else (v, P.padd(hit[1], c))
+    out = {}
+    for v, c in groups.values():
+        if P.pis_zero(c):
+            continue
+        for m, pv in v.items():
+            prod = P.pmul(c, pv)
             cur = out.get(m)
             if cur is None:
                 out[m] = prod
@@ -253,32 +276,28 @@ def trace_with_rotation_check(word, seed=7):
 class XValue:
     """The rescaled invariant of a braid-word closure.
 
-    Terms pair s-monomials with half-twist scalars; n and e record the
-    strand count and braiding exponent sum of the presenting word. Every
-    coefficient is parity-pure: only the (n-1+e) mod 2 component of the
-    half-twist scalar is populated.
+    Every coefficient is r w^parity for a fraction r and one parity bit
+    (n-1+e) mod 2 shared by all terms; terms map s-monomials to r. n and
+    e record the strand count and braiding exponent sum of the presenting
+    word. Output keeps the even + odd*w shape of the quadratic extension.
     """
 
-    __slots__ = ("n", "e", "terms")
+    __slots__ = ("n", "e", "parity", "terms")
 
     def __init__(self, n, e, terms):
         self.n = n
         self.e = e
+        self.parity = (n - 1 + e) % 2
         self.terms = terms
-        par = (n - 1 + e) % 2
-        for m, c in terms.items():
-            dead = c.even if par else c.odd
-            assert dead.is_zero(), "parity drift in invariant value"
 
     def __eq__(self, other):
         if not isinstance(other, XValue):
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        zero = HalfTwistScalar.from_rf(RF_ZERO)
         for k in keys:
-            if self.terms.get(k, zero) != other.terms.get(k, zero):
+            if self.terms.get(k, RF_ZERO) != other.terms.get(k, RF_ZERO):
                 return False
-        return True
+        return self.parity == other.parity or self.is_zero()
 
     __hash__ = None
 
@@ -288,35 +307,44 @@ class XValue:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (mono_level(kv[0]), kv[0]))
 
+    def _coeff_str(self, c):
+        return "(%s) * w" % c if self.parity else str(c)
+
+    def _coeff_json(self, c):
+        zero = RF_ZERO.to_json()
+        c = c.to_json()
+        return {"even": zero, "odd": c} if self.parity else {"even": c, "odd": zero}
+
     def __str__(self):
         live = [(m, c) for m, c in self.sorted_terms() if not c.is_zero()]
         if not live:
             return "0"
-        return " + ".join("(%s) * %s" % (c, mono_str(m)) for m, c in live)
+        return " + ".join(
+            "(%s) * %s" % (self._coeff_str(c), mono_str(m)) for m, c in live
+        )
 
     def to_json(self):
         return {
             "n": self.n,
             "e": self.e,
             "terms": [
-                {"mono": mono_str(m), "coeff": c.to_json()}
+                {"mono": mono_str(m), "coeff": self._coeff_json(c)}
                 for m, c in self.sorted_terms()
             ],
         }
 
 
 def closure_scalar(word):
-    """c(w) = d^{n-1} w^e, the factor taking tr(w) to X(w)."""
-    e = sigma_exponent_sum(word)
-    return delta_pow(word.n - 1) * HalfTwistScalar.w_power(e)
+    """c(w) = d^{n-1} w^e as (RatFunc r, parity): c(w) = r w^parity."""
+    return delta_pow(word.n - 1, sigma_exponent_sum(word))
 
 
 def invariant_x(word):
     """The invariant of the closure of a braid word."""
-    scalar = closure_scalar(word)
+    e = sigma_exponent_sum(word)
+    scalar, _ = delta_pow(word.n - 1, e)
     tv = trace_of_word(word)
-    terms = {m: scalar.scale(c) for m, c in tv.terms.items()}
-    return XValue(word.n, sigma_exponent_sum(word), terms)
+    return XValue(word.n, e, {m: c * scalar for m, c in tv.terms.items()})
 
 
 # -- the variable flip --------------------------------------------------------
@@ -400,13 +428,14 @@ def _bbm_equations(m, signs, p):
         raise WordError("expected a loop monomial")
     images = [bbm_image(m, sign, p) for sign in signs]
     word_src = m.as_word()
-    c_src = closure_scalar(word_src)
+    c_src, par_src = closure_scalar(word_src)
     lhs = trace_of_word(word_src)
     stem = project_braid(MixedBraidWord(images[0].n, images[0].letters[:-1]))
     out = []
     for sign, word_img in zip(signs, images):
         coeff = bbm_coefficient(m.level, sign)
-        if closure_scalar(word_img) != c_src.scale(coeff):
+        c_img, par_img = closure_scalar(word_img)
+        if par_img != par_src or c_img != c_src * coeff:
             raise RuntimeError(
                 "band move coefficient %s is not the closure-scalar ratio for %s"
                 % (coeff, m)

@@ -16,7 +16,6 @@ experiment.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -315,12 +314,16 @@ def compare_order(a, b):
     return 0
 
 
-_ORDER_KEY = functools.cmp_to_key(compare_order)
-
-
 def order_key(m):
-    """A sort key equivalent to compare_order (for deterministic output)."""
-    return _ORDER_KEY(_profile(m))
+    """A tuple sort key equivalent to compare_order (for deterministic output)."""
+    idx, exps = _profile(m)
+    return (
+        sum(exps),
+        max(len(idx) - 1, 0),
+        len(idx),
+        tuple(-i for i in idx),
+        tuple((abs(x), -x) for x in reversed(exps)),
+    )
 
 
 # -- enumeration by level ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Rational function field and half-twist scalars."""
+"""Rational function field and closure scalars."""
 
 import random
 
@@ -6,10 +6,8 @@ from heckeb.poly import pconst, peq, pmul
 from heckeb.scalars import (
     RF_ONE,
     RF_ZERO,
-    HalfTwistScalar,
     RatFunc,
     big_n,
-    delta,
     delta_pow,
     invmap_poly,
     lam,
@@ -161,25 +159,28 @@ def test_invmap_poly_matches_substitution():
         assert out == direct
 
 
-def test_half_twist_parity():
-    w = HalfTwistScalar.w_power(1)
-    assert w * w == HalfTwistScalar.from_rf(lam())
-    assert HalfTwistScalar.w_power(3) == w * w * w
-    assert HalfTwistScalar.w_power(-1) * w == HalfTwistScalar.from_rf(RF_ONE)
-    assert (delta() * w) == HalfTwistScalar.from_rf(rf_z().inverse())
-    assert delta_pow(2) * HalfTwistScalar.w_power(2) == HalfTwistScalar.from_rf(
-        rf_z().inverse() ** 2
-    )
+def test_closure_scalar_grid():
+    # c = d^m w^e = r w^parity with w^2 = lam and d = w q/N, so
+    # c^2 = r^2 lam^parity = (q/N)^(2m) lam^(m+e)
+    q_over_n = rf_mono(1, 1, 0) / RatFunc(big_n())
+    for n in range(1, 7):
+        m = n - 1
+        for e in range(-9, 10):
+            r, parity = delta_pow(m, e)
+            assert parity == (m + e) % 2
+            assert r * r * lam() ** parity == q_over_n ** (2 * m) * lam() ** (m + e)
+            # w^2 = lam and d w = 1/z fix the sign of r as well
+            assert delta_pow(m, e + 2) == (r * lam(), parity)
+            assert delta_pow(m + 1, e + 1) == (r / rf_z(), parity)
 
 
-def test_half_twist_arithmetic():
-    a = HalfTwistScalar.from_rf(rf_int(2)) + HalfTwistScalar.w_power(1)
-    b = HalfTwistScalar.from_rf(rf_int(2)) - HalfTwistScalar.w_power(1)
-    # (2 + w)(2 - w) = 4 - lam
-    assert a * b == HalfTwistScalar.from_rf(rf_int(4) - lam())
-    assert a - a == HalfTwistScalar.from_rf(RF_ZERO)
-    assert (a * a.inverse()) == HalfTwistScalar.from_rf(RF_ONE)
-    assert a.scale(rf_int(3)) == HalfTwistScalar.from_rf(rf_int(3)) * a
+def test_closure_scalar_spot_values():
+    assert delta_pow(0) == (RF_ONE, 0)
+    assert delta_pow(0, 1) == (RF_ONE, 1)  # w
+    assert delta_pow(1) == (rf_mono(1, 1, 0) / RatFunc(big_n()), 1)  # d
+    assert delta_pow(1, 1) == (rf_z().inverse(), 0)  # c(2, 1) = d w = 1/z
+    assert delta_pow(0, 2) == (lam(), 0)  # c(1, 2) = w^2 = lam
+    assert delta_pow(0, -1) == (lam().inverse(), 1)  # w^-1 = w / lam
 
 
 def test_str_canonical():

@@ -1,14 +1,18 @@
 """Trace layer: closed forms, closure invariance, band move equations."""
 
 import importlib
+import json
 import random
 
 import pytest
 
+from heckeb.algebra import project_braid, rmul_sigma
 from heckeb.lens import generate_system
+from heckeb.poly import pmul
 from heckeb.scalars import (
     RF_ONE,
-    HalfTwistScalar,
+    RF_ZERO,
+    RatFunc,
     lam,
     lam_pow,
     rf_int,
@@ -19,6 +23,9 @@ from heckeb.scalars import (
 from heckeb.trace import (
     TraceDomainError,
     TraceValue,
+    XValue,
+    _trace_cache,
+    _trace_word,
     bbm_coefficient,
     bbm_equation,
     bbm_equation_pair,
@@ -26,10 +33,17 @@ from heckeb.trace import (
     invariant_x,
     map_I,
     map_index,
+    trace,
     trace_of_word,
     trace_with_rotation_check,
 )
-from heckeb.words import LoopMonomial, bbm_image, enumerate_level, parse_word
+from heckeb.words import (
+    LoopMonomial,
+    MixedBraidWord,
+    bbm_image,
+    enumerate_level,
+    parse_word,
+)
 
 Q = rf_mono(1, 1, 0)
 QI = rf_mono(1, -1, 0)
@@ -220,8 +234,8 @@ def test_bbm_equation_negative_sign_coeff():
 
 def test_bbm_equation_cross_check_runs():
     # the closure identity the runtime coefficient check stands for,
-    # derived per monomial: c(src) (lhs - rhs) = X(src) - X(img)
-    zero = HalfTwistScalar.from_rf(rf_int(0))
+    # derived per monomial: c(src) (lhs - rhs) = X(src) - X(img), where
+    # c(src) = r w^parity and both invariants carry that parity
     for p in (2, 3):
         for kk in (0, 1, 2):
             for m in enumerate_level(kk, "+"):
@@ -230,12 +244,13 @@ def test_bbm_equation_cross_check_runs():
                     word_src = m.as_word()
                     x_src = invariant_x(word_src)
                     x_img = invariant_x(bbm_image(m, sign, p))
-                    c_src = closure_scalar(word_src)
+                    c_src, parity = closure_scalar(word_src)
+                    assert x_src.parity == x_img.parity == parity
                     diff = eq.residual()
                     keys = set(diff.terms) | set(x_src.terms) | set(x_img.terms)
                     for k in keys:
-                        want = c_src.scale(diff.coeff(k))
-                        got = x_src.terms.get(k, zero) - x_img.terms.get(k, zero)
+                        want = c_src * diff.coeff(k)
+                        got = x_src.terms.get(k, RF_ZERO) - x_img.terms.get(k, RF_ZERO)
                         assert want == got, (str(m), sign, p, k)
 
 
@@ -302,11 +317,10 @@ def test_invariant_x_parity():
         w = rand_word(rng, n, rng.randrange(0, 5))
         x = invariant_x(w)
         odd = (x.n - 1 + x.e) % 2
-        for _, scal in x.sorted_terms():
-            if odd:
-                assert scal.even.is_zero()
-            else:
-                assert scal.odd.is_zero()
+        assert x.parity == odd
+        dead = "even" if odd else "odd"
+        for term in x.to_json()["terms"]:
+            assert term["coeff"][dead] == RF_ZERO.to_json()
 
 
 def test_invariant_x_markov_moves():
@@ -345,3 +359,106 @@ def test_invariant_x_permuted_exponents():
         assert invariant_x(parse_word(left, n=n)) == invariant_x(
             parse_word(right, n=n)
         ), (left, right)
+
+
+# outputs recorded when the coefficients were even + odd*w field elements;
+# the parity-bit form must print them byte for byte
+X_GOLDEN = {
+    "1": (
+        '{"e": 0, "n": 2, "terms": [{"coeff": {"even": {"den": "1", "num": "0"}, '
+        '"odd": {"den": "1 + z - q", "num": "q"}}, "mono": "1"}]}',
+        "(((q)/(1 + z - q)) * w) * 1",
+    ),
+    "g1": (
+        '{"e": 1, "n": 2, "terms": [{"coeff": {"even": {"den": "1", "num": "1"}, '
+        '"odd": {"den": "1", "num": "0"}}, "mono": "1"}]}',
+        "(1) * 1",
+    ),
+    "t1^-1": (
+        '{"e": -2, "n": 2, "terms": [{"coeff": {"even": {"den": "1", "num": "0"}, '
+        '"odd": {"den": "1 + 2*z + z^2 - 2*q - 2*q*z + q^2", '
+        '"num": "z + z^2 - q*z - q*z^2 + q^2*z"}}, "mono": "s[-1]"}]}',
+        "(((z + z^2 - q*z - q*z^2 + q^2*z)/(1 + 2*z + z^2 - 2*q - 2*q*z + q^2))"
+        " * w) * s[-1]",
+    ),
+}
+
+
+def test_invariant_x_recorded_output():
+    for text, (want_json, want_str) in X_GOLDEN.items():
+        x = invariant_x(parse_word(text, n=2))
+        assert json.dumps(x.to_json(), sort_keys=True) == want_json, text
+        assert str(x) == want_str, text
+
+
+def test_xvalue_equality_compares_parity():
+    terms = {(1,): lam(), (): Q}
+    even, odd = XValue(2, 1, dict(terms)), XValue(2, 0, dict(terms))
+    assert (even.parity, odd.parity) == (0, 1)
+    assert even != odd
+    assert even == XValue(3, 0, dict(terms))
+    assert odd == XValue(1, 1, dict(terms))
+    # explicit zero coefficients do not count, and zero has no parity
+    assert even == XValue(2, 1, {**terms, (5,): RF_ZERO})
+    assert XValue(2, 0, {}) == XValue(2, 1, {(1,): RF_ZERO})
+
+
+def _slow_trace(el):
+    """Sum c * tr(word) term by term, without grouping shared values."""
+    out = TraceValue.zero()
+    for (loops, perm), c in el.terms.items():
+        for m, v in _trace_word(el.n, loops, perm).items():
+            out.add_term(m, RatFunc.from_poly(pmul(c, v)))
+    return out
+
+
+def test_trace_matches_per_term_sum_on_random_elements():
+    rng = random.Random(57)
+    for _ in range(40):
+        n = rng.choice([2, 3, 4])
+        el = project_braid(rand_word(rng, n, rng.randrange(0, 6)))
+        # a difference of two elements makes coefficients cancel
+        other = project_braid(rand_word(rng, n, rng.randrange(0, 4)))
+        for x in (el, el.add(other), el.sub(other), el.sub(el)):
+            assert trace(x) == _slow_trace(x)
+
+
+def test_trace_matches_per_term_sum_on_band_move_images():
+    for p in (2, 3, 4):
+        for level in range(4):
+            for side in ("+", "-"):
+                for m in enumerate_level(level if side == "+" else -level, side):
+                    img = bbm_image(m, 1, p)
+                    stem = project_braid(MixedBraidWord(img.n, img.letters[:-1]))
+                    for sign in (1, -1):
+                        el = rmul_sigma(stem, 1, sign)
+                        assert trace(el) == _slow_trace(el), (p, str(m), sign)
+
+
+def test_equal_trace_values_are_one_object():
+    # t^2 g1 and t t1' g1 close to the same value by different peelings
+    a = _trace_word(2, ((0, 2),), (1, 0))
+    assert a is _trace_word(2, ((0, 1), (1, 1)), (1, 0))
+    assert a == {(2,): {(0, 1): 1}}  # z s[2]
+    shared = {}
+    for v in list(_trace_cache.values()):
+        key = frozenset((m, frozenset(c.items())) for m, c in v.items())
+        assert shared.setdefault(key, v) is v
+    assert len(shared) < len(_trace_cache)
+
+
+def test_replayed_queries_answer_the_same():
+    # many cache keys share one interned value, so a caller that mutated
+    # a cached value would change every later answer built from it
+    rng = random.Random(58)
+    queries = []
+    for i in range(30):
+        n = rng.choice([2, 3, 4])
+        w = rand_word(rng, n, rng.randrange(1, 6))
+        queries.append(((project_braid, trace_of_word, invariant_x)[i % 3], w))
+
+    def answer():
+        return [json.dumps(fn(w).to_json(), sort_keys=True) for fn, w in queries]
+
+    first = answer()
+    assert answer() == first

@@ -197,6 +197,23 @@ def test_order_key_total_on_level():
         assert compare_order(ranked[i + 1], ranked[i]) > 0
 
 
+def test_order_key_matches_compare_order_on_random_pairs():
+    # negative exponents, gaps and unequal lengths; small ranges so that
+    # exponent sums, index sets and absolute exponents often tie
+    rng = random.Random(31)
+
+    def rand_profile():
+        idx = tuple(sorted(rng.sample(range(4), rng.randrange(0, 4))))
+        return idx, tuple(rng.choice([-2, -1, 1, 2]) for _ in idx)
+
+    for _ in range(3000):
+        a, b = rand_profile(), rand_profile()
+        ka, kb = order_key(a), order_key(b)
+        assert compare_order(a, b) == (ka > kb) - (ka < kb), (a, b)
+        ma = LoopMonomial(tuple(zip(*a)))
+        assert order_key(ma) == ka
+
+
 def test_bbm_image_shape():
     m = LoopMonomial(((0, 1), (1, 1)), primed=False)
     for sign, text in ((1, "t^2 t1 t2 g1"), (-1, "t^2 t1 t2 g1^-1")):
