@@ -18,6 +18,10 @@ The engine reduces everything to three local facts:
   * the swap's braiding byproduct conjugates to an explicit short word
     when transported to higher loop indices.
 
+Right multiplication by one braiding letter (`rmul_sigma`) or one axis
+letter (`rmul_axis`) is a single pass over the terms that accumulates
+into a plain dict and wraps it in one element at the end.
+
 Coefficients here never involve z; they are Laurent polynomials in q
 stored in the shared (q-exp, z-exp) dict representation with z-exp 0.
 """
@@ -116,17 +120,18 @@ _swap_cache = {}
 _unprime_cache = {}
 
 
-def _h2_add(E, key, c):
-    cur = E.get(key)
+def _acc(out, key, c):
+    """Add the coefficient c into out[key], dropping the key at zero."""
+    cur = out.get(key)
     if cur is None:
-        if not P.pis_zero(c):
-            E[key] = c
+        if c:
+            out[key] = c
         return
     s = P.padd(cur, c)
-    if P.pis_zero(s):
-        del E[key]
+    if s:
+        out[key] = s
     else:
-        E[key] = s
+        del out[key]
 
 
 def _h2_scale(E, c):
@@ -137,7 +142,7 @@ def _h2_combine(*parts):
     out = {}
     for E in parts:
         for k, v in E.items():
-            _h2_add(out, k, v)
+            _acc(out, k, v)
     return out
 
 
@@ -148,12 +153,12 @@ def h2_mul_t(E, e):
     out = {}
     for (a, b, g), c in E.items():
         if g:
-            _h2_add(out, (a, b + e, 1), c)
+            _acc(out, (a, b + e, 1), c)
         elif b == 0:
-            _h2_add(out, (a + e, 0, 0), c)
+            _acc(out, (a + e, 0, 0), c)
         else:
             for cs, al, be, gg in swap_loops(b, e):
-                _h2_add(out, (a + al, be, gg), P.pmul(c, cs))
+                _acc(out, (a + al, be, gg), P.pmul(c, cs))
     return out
 
 
@@ -162,10 +167,10 @@ def h2_mul_g1(E):
     out = {}
     for (a, b, g), c in E.items():
         if g:
-            _h2_add(out, (a, b, 1), _times_qm1(c, 1))
-            _h2_add(out, (a, b, 0), P.pshift(c, 1, 0))
+            _acc(out, (a, b, 1), _times_qm1(c, 1))
+            _acc(out, (a, b, 0), P.pshift(c, 1, 0))
         else:
-            _h2_add(out, (a, b, 1), c)
+            _acc(out, (a, b, 1), c)
     return out
 
 
@@ -176,15 +181,15 @@ def h2_mul_tp(E, e):
     out = {}
     for (a, b, g), c in E.items():
         if not g:
-            _h2_add(out, (a, b + e, 0), c)
+            _acc(out, (a, b + e, 0), c)
             continue
         # g1 t1'^e = t^e g1 + (q-1) t1'^e - (q-1) t^e
         sub = h2_mul_t({(a, b, 0): c}, e)
         for k, v in h2_mul_g1(sub).items():
-            _h2_add(out, k, v)
-        _h2_add(out, (a, b + e, 0), _times_qm1(c, 1))
+            _acc(out, k, v)
+        _acc(out, (a, b + e, 0), _times_qm1(c, 1))
         for k, v in sub.items():
-            _h2_add(out, k, _times_qm1(P.pneg(v), 1))
+            _acc(out, k, _times_qm1(P.pneg(v), 1))
     return out
 
 
@@ -253,20 +258,20 @@ def swap_loops(K, e):
         acc = {}
         # t^e t1^K, with t^e prepended
         for (a, b, g), c in U.items():
-            _h2_add(acc, (a + e, b, g), c)
+            _acc(acc, (a + e, b, g), c)
         # minus t1^K t^e without the pivot word
         for (a, b, g), c in U.items():
             if (a, b, g) == (0, K, 0):
                 continue
             nc = P.pneg(c)
             if g:
-                _h2_add(acc, (a, b + e, 1), nc)
+                _acc(acc, (a, b + e, 1), nc)
             elif b == 0:
-                _h2_add(acc, (a + e, 0, 0), nc)
+                _acc(acc, (a + e, 0, 0), nc)
             else:
                 assert abs(b) < abs(K), "swap recursion must shrink"
                 for cs, al, be, gg in swap_loops(b, e):
-                    _h2_add(acc, (a + al, be, gg), P.pmul(nc, cs))
+                    _acc(acc, (a + al, be, gg), P.pmul(nc, cs))
         res = []
         for (a, b, g), c in sorted(acc.items()):
             q = P.pdivexact_mono(c, cc, cqe, cze)
@@ -340,18 +345,7 @@ class AlgebraElement:
         return el
 
     def add_term(self, loops, perm, coeff):
-        if P.pis_zero(coeff):
-            return
-        key = (loops, perm)
-        cur = self.terms.get(key)
-        if cur is None:
-            self.terms[key] = coeff
-            return
-        s = P.padd(cur, coeff)
-        if P.pis_zero(s):
-            del self.terms[key]
-        else:
-            self.terms[key] = s
+        _acc(self.terms, (loops, perm), coeff)
 
     def add(self, other):
         assert self.n == other.n
@@ -444,25 +438,31 @@ def canonical_word_str(loops, perm):
 
 
 def rmul_sigma(el, i, sign):
+    """Right multiply by gi^{sign}.
+
+    T_w gi^e (e = +-1) is T_{w si} when w si is longer than w for e = 1,
+    or shorter for e = -1; otherwise the quadratic relation makes it
+    q^e T_{w si} + (q^e - 1) T_w.
+    """
     if not 1 <= i <= el.n - 1:
         raise WordError("g%d out of range for %d strands" % (i, el.n))
-    out = AlgebraElement.zero(el.n)
+    a = i - 1
+    up = sign > 0
+    e = 1 if up else -1
+    out = {}
     for (loops, perm), c in el.terms.items():
-        asc = perm[i - 1] < perm[i]
-        other = _swap_right(perm, i)
-        if sign > 0:
-            if asc:
-                out.add_term(loops, other, c)
-            else:
-                out.add_term(loops, perm, _times_qm1(c, 1))
-                out.add_term(loops, other, P.pshift(c, 1, 0))
-        else:
-            if asc:
-                out.add_term(loops, other, P.pshift(c, -1, 0))
-                out.add_term(loops, perm, _times_qm1(c, -1))
-            else:
-                out.add_term(loops, other, c)
-    return out
+        lst = list(perm)
+        lst[a], lst[i] = lst[i], lst[a]
+        other = tuple(lst)
+        # perm ascends at i exactly when the swapped values descend
+        if (lst[a] > lst[i]) == up:
+            _acc(out, (loops, other), c)
+            continue
+        qc = P.pshift(c, e, 0)
+        dc = P.psub(qc, c)  # (q^e - 1) c, from the one shift
+        _acc(out, (loops, other), qc)
+        _acc(out, (loops, perm), dc)
+    return AlgebraElement(el.n, out)
 
 
 def _tail_lmul(tails, i, sign):
@@ -473,16 +473,16 @@ def _tail_lmul(tails, i, sign):
         other = _swap_left(perm, i)
         if sign > 0:
             if asc:
-                _h2_add(out, other, c)
+                _acc(out, other, c)
             else:
-                _h2_add(out, perm, _times_qm1(c, 1))
-                _h2_add(out, other, P.pshift(c, 1, 0))
+                _acc(out, perm, _times_qm1(c, 1))
+                _acc(out, other, P.pshift(c, 1, 0))
         else:
             if asc:
-                _h2_add(out, other, P.pshift(c, -1, 0))
-                _h2_add(out, perm, _times_qm1(c, -1))
+                _acc(out, other, P.pshift(c, -1, 0))
+                _acc(out, perm, _times_qm1(c, -1))
             else:
-                _h2_add(out, other, c)
+                _acc(out, other, c)
     return out
 
 
@@ -501,19 +501,20 @@ def _tail_table(perm, tail):
 
 
 def rmul_axis(el, e):
+    """Right multiply by the axis loop t^e."""
     if e == 0:
         return AlgebraElement(el.n, dict(el.terms))
-    out = AlgebraElement.zero(el.n)
+    one = P.PONE
+    out = {}
     for (loops, perm), c in el.terms.items():
-        h = axis_head(perm)
-        for cf, loops2, tail in insert_loop(loops, h, e):
+        for cf, loops2, tail in insert_loop(loops, axis_head(perm), e):
+            cc = c if cf == one else P.pmul(c, cf)
             if not tail:
-                out.add_term(loops2, perm, c if P.peq(cf, P.PONE) else P.pmul(c, cf))
+                _acc(out, (loops2, perm), cc)
                 continue
-            cc = P.pmul(c, cf)
             for pm, t in _tail_table(perm, tail):
-                out.add_term(loops2, pm, P.pmul(cc, t))
-    return out
+                _acc(out, (loops2, pm), cc if t == one else P.pmul(cc, t))
+    return AlgebraElement(el.n, out)
 
 
 def rmul_ploop(el, j, e):

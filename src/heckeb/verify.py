@@ -45,15 +45,22 @@ RF_Q1 = RF_Q - rf_mono(1)
 RF_QI1 = RF_QI - rf_mono(1)
 
 
-def _modulus(suite, p, least):
-    """p as an int; ValueError when it is below the suite's least modulus."""
-    p = int(p)
-    if p < least:
-        raise ValueError("suite %s needs p >= %d" % (suite, least))
-    return p
+def _at_least(suite, name, value, least):
+    """value as an int; ValueError when it is below least."""
+    value = int(value)
+    if value < least:
+        raise ValueError("suite %s needs %s >= %d" % (suite, name, least))
+    return value
 
 
 def _report(suite, checked, failures, params, notes=()):
+    """The suite's report; ValueError when it checked nothing, which
+    would otherwise read as a pass."""
+    if not checked:
+        raise ValueError(
+            "suite %s checked nothing at %s"
+            % (suite, ", ".join("%s=%s" % kv for kv in sorted(dict(params).items())))
+        )
     return {
         "suite": suite,
         "passed": not failures,
@@ -211,6 +218,7 @@ def tagged_eq(x, y):
 
 def suite_relations(n=4, samples=200, seed=DEFAULT_SEED):
     """Defining relations survive random word sandwiches."""
+    n = _at_least("relations", "n", n, 2)
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -236,8 +244,6 @@ def suite_relations(n=4, samples=200, seed=DEFAULT_SEED):
                 }
             )
 
-    if n < 2:
-        raise ValueError("relations suite needs n >= 2")
     if n >= 3:
         for _ in range(samples):
             nn = rng.randrange(3, n + 1)
@@ -309,6 +315,7 @@ def suite_relations(n=4, samples=200, seed=DEFAULT_SEED):
 
 def suite_markov(n=4, samples=200, seed=DEFAULT_SEED):
     """Trace rules: commuted products, closures, and the closed form."""
+    n = _at_least("markov", "n", n, 2)
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -366,6 +373,7 @@ def suite_markov(n=4, samples=200, seed=DEFAULT_SEED):
 
 def suite_invariance(n=4, samples=100, seed=DEFAULT_SEED):
     """The invariant is unchanged by conjugation and stabilization."""
+    n = _at_least("invariance", "n", n, 2)
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -608,7 +616,7 @@ def suite_lemma4(p=None, k=3):
     recursion back to the engine trace, and the value-level image equality
     exactly where it holds (below the twist modulus).
     """
-    p_list = (2, 3) if p is None else (_modulus("lemma4", p, 1),)
+    p_list = (2, 3) if p is None else (_at_least("lemma4", "p", p, 1),)
     failures = []
     checked = 0
     for pp in p_list:
@@ -698,7 +706,7 @@ def suite_theorem9(p=3, k=3):
     """
     failures = []
     checked = 0
-    for pp in range(1, _modulus("theorem9", p, 1) + 1):
+    for pp in range(1, _at_least("theorem9", "p", p, 1) + 1):
         rep = compare_mirror(pp, k)
         checked += len(rep["entries"])
         if not rep["exact_below_p"]:
@@ -755,7 +763,7 @@ def suite_theorem9(p=3, k=3):
 
 def suite_prop2(p=None, k=3):
     """Exponent-flipped sources trace into the image of the flip map."""
-    p_list = (2, 3) if p is None else (_modulus("prop2", p, 0),)
+    p_list = (2, 3) if p is None else (_at_least("prop2", "p", p, 0),)
     failures = []
     checked = 0
     for kk in range(0, int(k) + 1):
@@ -887,6 +895,9 @@ def run_suite(name, **params):
         raise KeyError("unknown suite %r" % name)
     fn, allowed = SUITES[name]
     kwargs = {k: v for k, v in params.items() if k in allowed and v is not None}
+    for key in ("k", "samples"):
+        if key in kwargs:
+            kwargs[key] = _at_least(name, key, kwargs[key], 0)
     return fn(**kwargs)
 
 

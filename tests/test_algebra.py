@@ -1,5 +1,6 @@
 """Algebra engine: permutation tails, loop swaps, and defining relations."""
 
+import copy
 import itertools
 import random
 
@@ -255,3 +256,123 @@ def test_element_arithmetic():
     assert two_a == a.add(a)
     with pytest.raises(WordError):
         A.rmul_sigma(A.AlgebraElement.one(2), 2, 1)
+
+
+# -- the fused letter kernels against the per-term path -------------------------
+
+
+def _ref_add(terms, key, c):
+    """One term at a time, as AlgebraElement.add_term: drop zero sums."""
+    if P.pis_zero(c):
+        return
+    cur = terms.get(key)
+    if cur is None:
+        terms[key] = c
+        return
+    s = P.padd(cur, c)
+    if P.pis_zero(s):
+        del terms[key]
+    else:
+        terms[key] = s
+
+
+def _ref_rmul_sigma(el, i, sign):
+    out = {}
+    for (loops, perm), c in el.terms.items():
+        asc = perm[i - 1] < perm[i]
+        other = A._swap_right(perm, i)
+        if sign > 0:
+            if asc:
+                _ref_add(out, (loops, other), c)
+            else:
+                _ref_add(out, (loops, perm), A._times_qm1(c, 1))
+                _ref_add(out, (loops, other), P.pshift(c, 1, 0))
+        else:
+            if asc:
+                _ref_add(out, (loops, other), P.pshift(c, -1, 0))
+                _ref_add(out, (loops, perm), A._times_qm1(c, -1))
+            else:
+                _ref_add(out, (loops, other), c)
+    return A.AlgebraElement(el.n, out)
+
+
+def _ref_rmul_axis(el, e):
+    out = {}
+    for (loops, perm), c in el.terms.items():
+        for cf, loops2, tail in A.insert_loop(loops, A.axis_head(perm), e):
+            cc = P.pmul(c, cf)
+            if not tail:
+                _ref_add(out, (loops2, perm), cc)
+                continue
+            for pm, t in A._tail_table(perm, tail):
+                _ref_add(out, (loops2, pm), P.pmul(cc, t))
+    return A.AlgebraElement(el.n, out)
+
+
+def _rand_coeff(rng):
+    c = {}
+    for _ in range(rng.randrange(1, 5)):
+        k = (rng.randrange(-4, 5), 0)
+        c[k] = c.get(k, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    c = {k: v for k, v in c.items() if v}
+    return c or P.pconst(1)
+
+
+def _rand_loops(rng, n):
+    idxs = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
+    return tuple((j, rng.choice([-3, -2, -1, 1, 2, 3])) for j in idxs)
+
+
+def _rand_element(rng, n, i=None, sign=1):
+    """Random terms; with a letter gi^sign, pairs that cancel after it."""
+    perms = list(itertools.permutations(range(n)))
+    el = A.AlgebraElement(n)
+    for _ in range(rng.randrange(1, 7)):
+        el.add_term(_rand_loops(rng, n), rng.choice(perms), _rand_coeff(rng))
+    if i is None:
+        return el
+    for _ in range(rng.randrange(1, 4)):
+        loops = _rand_loops(rng, n)
+        w = rng.choice(perms)
+        c = _rand_coeff(rng)
+        ws = A._swap_right(w, i)
+        # c on w and -c on w si: the swap lands them on each other's word
+        el.add_term(loops, w, c)
+        el.add_term(loops, ws, P.pneg(c))
+        # the split side's (q^e - 1) c cancels the plain side exactly
+        asc = w[i - 1] < w[i]
+        split, plain = (ws, w) if asc == (sign > 0) else (w, ws)
+        e = 1 if sign > 0 else -1
+        loops = _rand_loops(rng, n)
+        el.add_term(loops, split, c)
+        el.add_term(loops, plain, P.pneg(A._times_qm1(c, e)))
+    return el
+
+
+def _assert_fused_matches(fused, ref, el, before):
+    assert el.terms == before, "the kernel changed its input"
+    assert all(fused.terms.values()), "zero coefficient stored"
+    assert fused == ref
+
+
+def test_rmul_sigma_matches_per_term_path():
+    rng = random.Random(71)
+    for n in range(2, 6):
+        for i in range(1, n):
+            for sign in (1, -1):
+                for _ in range(12):
+                    el = _rand_element(rng, n, i, sign)
+                    before = copy.deepcopy(el.terms)
+                    ref = _ref_rmul_sigma(el, i, sign)
+                    _assert_fused_matches(A.rmul_sigma(el, i, sign), ref, el, before)
+
+
+def test_rmul_axis_matches_per_term_path():
+    rng = random.Random(72)
+    for n in range(2, 6):
+        for e in (1, -1, 2, -2):
+            for _ in range(15):
+                el = _rand_element(rng, n)
+                before = copy.deepcopy(el.terms)
+                ref = _ref_rmul_axis(el, e)
+                _assert_fused_matches(A.rmul_axis(el, e), ref, el, before)

@@ -36,3 +36,21 @@ def test_patched_methods_and_read_state_resolve():
         assert info.hits >= 0 and info.misses >= 0
     assert isinstance(algebra._swap_cache, dict)
     assert isinstance(_module("trace")._trace_cache, dict)
+
+
+def test_layer_counts_follow_the_letter_kernels():
+    # t2^-1 on 3 strands is g2^-1 g1^-1 t^-1 g1^-1 g2^-1: four braiding
+    # letters and one axis letter, then g1 is the fifth braiding letter
+    tracer = runpy.run_path(str(TRACING))["Tracer"]()
+    algebra = _module("algebra")
+    words = _module("words")
+    tracer.install()
+    try:
+        algebra.project_braid(words.parse_word("t2^-1 g1", n=3))
+        calls = dict(tracer.calls)
+    finally:
+        tracer.uninstall()
+    assert calls["algebra.rmul_sigma"] == 5
+    assert calls["algebra.rmul_axis"] == 1
+    assert calls["algebra.project_braid"] == 1
+    assert not hasattr(algebra.rmul_sigma, "__wrapped__")

@@ -172,6 +172,31 @@ def test_verify_rejects_out_of_range_modulus(capsys, suite, p):
     assert err == "error: suite %s needs p >= %d\n" % (suite, 0 if suite == "prop2" else 1)
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("relations", "--samples", "-1"), "suite relations needs samples >= 0"),
+        (("relations", "--samples", "0"), "suite relations checked nothing"),
+        (("invariance", "--samples", "0"), "suite invariance checked nothing"),
+        (("lemma2", "--k", "0"), "suite lemma2 checked nothing"),
+        (("lemma3", "--k", "0"), "suite lemma3 checked nothing"),
+        (("triangular", "--k", "0"), "suite triangular checked nothing"),
+        (("grading", "--k", "-1"), "suite grading needs k >= 0"),
+        (("prop2", "--k", "-1"), "suite prop2 needs k >= 0"),
+        (("lemma2", "--n", "0"), "suite lemma2 checked nothing"),
+        (("triangular", "--n", "0"), "suite triangular checked nothing"),
+        (("markov", "--n", "1"), "suite markov needs n >= 2"),
+        (("invariance", "--n", "0"), "suite invariance needs n >= 2"),
+    ],
+)
+def test_verify_rejects_suites_that_check_nothing(capsys, argv, err):
+    # an empty range would otherwise print PASS (checked 0) and exit 0
+    code, out, got = run(capsys, "verify", "--suite", *argv)
+    assert code == 1
+    assert out == ""
+    assert got.startswith("error: " + err), got
+
+
 def test_stdin_word(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("t^2 t1'^3\n"))
     code, out, _ = run(capsys, "trace", "-", "--n", "2")

@@ -8,7 +8,7 @@ import pytest
 
 from heckeb.algebra import project_braid, rmul_sigma
 from heckeb.lens import generate_system
-from heckeb.poly import pmul
+from heckeb.poly import pmul, ppow
 from heckeb.scalars import (
     RF_ONE,
     RF_ZERO,
@@ -462,3 +462,39 @@ def test_replayed_queries_answer_the_same():
 
     first = answer()
     assert answer() == first
+
+
+def test_mutated_answers_do_not_change_later_answers():
+    # the letter kernels store a caller's coefficient dict under new keys;
+    # storing a memoized table entry instead would let this mutation leak
+    rng = random.Random(59)
+    words = []
+    for _ in range(20):
+        n = rng.choice([2, 3, 4])
+        words.append(rand_word(rng, n, rng.randrange(1, 7)))
+
+    def vandalize(coeff):
+        for k in list(coeff):
+            coeff[k] += 7
+        coeff[(11, 3)] = 5
+
+    for fn in (project_braid, trace_of_word):
+        first = [json.dumps(fn(w).to_json(), sort_keys=True) for w in words]
+        for w in words:
+            for c in fn(w).terms.values():
+                if isinstance(c, RatFunc):
+                    vandalize(c.num)
+                    vandalize(c.den)
+                else:
+                    vandalize(c)
+        again = [json.dumps(fn(w).to_json(), sort_keys=True) for w in words]
+        assert again == first, fn.__name__
+
+
+def test_closed_form_trace_of_unprimed_loops():
+    # t_j = g_j t_{j-1} g_j; the quadratic relation and tr(X g_j) = z tr(X)
+    # give tr(t_j) = (q - 1) z tr(t_{j-1}) + q tr(t_{j-1})
+    step = {(1, 1): 1, (1, 0): 1, (0, 1): -1}  # q z + q - z
+    for j in range(1, 9):
+        want = TraceValue({(1,): RatFunc.from_poly(ppow(step, j))})
+        assert trace_of_word(parse_word("t%d" % j)) == want, j
