@@ -13,14 +13,17 @@ The engine reduces everything to three local facts:
   * T_w t^e = t_h'^e T_w, h the head of the rightmost descending run of
     w's block decomposition that reaches g1 (h = 0 when none does);
   * loop letters with distinct indices reorder through a two-strand swap
-    t1'^K t^e = sum c * t^a t1'^b g1^{0|1}, solved once from the
-    commutation t^e t_1^K = t_1^K t^e and memoized;
+    t1'^K t^e = sum c * t^a t1'^b g1^{0|1}, memoized per (K, e);
   * the swap's braiding byproduct conjugates to an explicit short word
     when transported to higher loop indices.
 
 Right multiplication by one braiding letter (`rmul_sigma`) or one axis
 letter (`rmul_axis`) is a single pass over the terms that accumulates
-into a plain dict and wraps it in one element at the end.
+into a plain dict and wraps it in one element at the end. These two
+passes are the only multiplication engine: the memoized tables (t1^K,
+the swaps, solved from the commutation t^e t1^K = t1^K t^e, and the
+braiding-tail expansions) are built with them, on two strands for the
+loops and on the element's strands for the tails.
 
 Coefficients here never involve z; they are Laurent polynomials in q
 stored in the shared (q-exp, z-exp) dict representation with z-exp 0.
@@ -32,15 +35,6 @@ import functools
 
 from . import poly as P
 from .words import MixedBraidWord, WordError, order_key
-
-_Q1 = {(1, 0): 1, (0, 0): -1}  # q - 1
-_QI1 = {(-1, 0): 1, (0, 0): -1}  # q^-1 - 1
-
-
-def _times_qm1(c, e):
-    """c * (q^e - 1), by a shift and a subtraction instead of P.pmul."""
-    return P.psub(P.pshift(c, e, 0), c)
-
 
 # -- permutations (one-line tuples, positions and values 0-based) --------
 
@@ -59,12 +53,6 @@ def _swap_right(w, i):
     lst = list(w)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
     return tuple(lst)
-
-
-def _swap_left(w, i):
-    """Transposition of the values i-1, i, applied after w."""
-    a = i - 1
-    return tuple(i if x == a else a if x == i else x for x in w)
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,10 +99,11 @@ def block_letters(blocks):
     return out
 
 
-# -- the two-strand engine ------------------------------------------------
+# -- loop swaps, solved on two strands -------------------------------------
 #
-# Elements of the two-strand algebra are dicts {(a, b, g): coeff} encoding
-# t^a t1'^b g1^g with g in {0, 1}.
+# t1^K and the swaps t1'^K t^e are two-strand elements, built with the
+# letter kernels below. The two-strand word t^a t1'^b g1^g has the loops
+# ((0, a), (1, b)) (zero exponents left out) and the permutation (g, 1 - g).
 
 _swap_cache = {}
 _unprime_cache = {}
@@ -134,102 +123,27 @@ def _acc(out, key, c):
         del out[key]
 
 
-def _h2_scale(E, c):
-    return {k: P.pmul(v, c) for k, v in E.items()}
-
-
-def _h2_combine(*parts):
-    out = {}
-    for E in parts:
-        for k, v in E.items():
-            _acc(out, k, v)
-    return out
-
-
-def h2_mul_t(E, e):
-    """Right multiply by t^e."""
-    if e == 0:
-        return dict(E)
-    out = {}
-    for (a, b, g), c in E.items():
-        if g:
-            _acc(out, (a, b + e, 1), c)
-        elif b == 0:
-            _acc(out, (a + e, 0, 0), c)
-        else:
-            for cs, al, be, gg in swap_loops(b, e):
-                _acc(out, (a + al, be, gg), P.pmul(c, cs))
-    return out
-
-
-def h2_mul_g1(E):
-    """Right multiply by g1."""
-    out = {}
-    for (a, b, g), c in E.items():
-        if g:
-            _acc(out, (a, b, 1), _times_qm1(c, 1))
-            _acc(out, (a, b, 0), P.pshift(c, 1, 0))
-        else:
-            _acc(out, (a, b, 1), c)
-    return out
-
-
-def h2_mul_tp(E, e):
-    """Right multiply by t1'^e."""
-    if e == 0:
-        return dict(E)
-    out = {}
-    for (a, b, g), c in E.items():
-        if not g:
-            _acc(out, (a, b + e, 0), c)
-            continue
-        # g1 t1'^e = t^e g1 + (q-1) t1'^e - (q-1) t^e
-        sub = h2_mul_t({(a, b, 0): c}, e)
-        for k, v in h2_mul_g1(sub).items():
-            _acc(out, k, v)
-        _acc(out, (a, b + e, 0), _times_qm1(c, 1))
-        for k, v in sub.items():
-            _acc(out, k, _times_qm1(P.pneg(v), 1))
-    return out
-
-
-def h2_mul_t1(E, sign):
-    """Right multiply by the commuting loop letter t1^{+-1}."""
-    if sign == 1:
-        # t1 = q t1' + (q-1) t1' g1
-        T = h2_mul_tp(E, 1)
-        return _h2_combine(
-            {k: P.pshift(v, 1, 0) for k, v in T.items()},
-            _h2_scale(h2_mul_g1(T), _Q1),
-        )
-    # t1^-1 = q^-1 t1'^-1 + q^-1 (q^-1 - 1) t^-1 g1 + (q^-1 - 1)^2 t^-1
-    A = h2_mul_tp(E, -1)
-    B = h2_mul_t(E, -1)
-    c2 = P.pmul(_QI1, {(-1, 0): 1})  # q^-1 (q^-1 - 1)
-    c3 = P.pmul(_QI1, _QI1)
-    return _h2_combine(
-        {k: P.pshift(v, -1, 0) for k, v in A.items()},
-        _h2_scale(h2_mul_g1(B), c2),
-        _h2_scale(B, c3),
-    )
+def _h2_exps(key):
+    """The exponents (a, b, g) of the two-strand word t^a t1'^b g1^g."""
+    loops, perm = key
+    exps = dict(loops)
+    return exps.get(0, 0), exps.get(1, 0), perm[0]
 
 
 def unprime_loop(K):
-    """The commuting loop power t1^K expanded over t^a t1'^b g1^g words."""
+    """The commuting loop power t1^K as a two-strand element."""
     E = _unprime_cache.get(K)
     if E is not None:
         return E
     if K == 0:
-        E = {(0, 0, 0): P.pconst(1)}
+        E = AlgebraElement.one(2)
     else:
         step = 1 if K > 0 else -1
-        E = h2_mul_t1(unprime_loop(K - step), step)
-        for (a, b, g), _ in E.items():
+        E = rmul_loop(unprime_loop(K - step), 1, step)
+        for key in E.terms:
+            a, b, _ = _h2_exps(key)
             assert a + b == K, "degree drift in loop expansion"
-            if K > 0:
-                assert a >= 0 and b >= 0
-            else:
-                assert a <= 0 and b <= 0
+            assert a * step >= 0 and b * step >= 0
     _unprime_cache[K] = E
     return E
 
@@ -251,27 +165,23 @@ def swap_loops(K, e):
     elif K == 0:
         out = ((P.pconst(1), e, 0, 0),)
     else:
-        U = unprime_loop(K)
-        c0 = U.get((0, K, 0))
+        U = unprime_loop(K).terms
+        pivot = (((1, K),), perm_id(2))
+        c0 = U.get(pivot)
         assert c0 is not None and P.pis_monomial(c0), "pivot term missing"
         cc, cqe, cze = P.pmonomial_parts(c0)
         acc = {}
-        # t^e t1^K, with t^e prepended
-        for (a, b, g), c in U.items():
+        rest = AlgebraElement(2)
+        for wk, c in U.items():
+            a, b, g = _h2_exps(wk)
+            # t^e t1^K, with t^e prepended
             _acc(acc, (a + e, b, g), c)
+            if wk != pivot:
+                assert g or abs(b) < abs(K), "swap recursion must shrink"
+                rest.terms[wk] = P.pneg(c)
         # minus t1^K t^e without the pivot word
-        for (a, b, g), c in U.items():
-            if (a, b, g) == (0, K, 0):
-                continue
-            nc = P.pneg(c)
-            if g:
-                _acc(acc, (a, b + e, 1), nc)
-            elif b == 0:
-                _acc(acc, (a + e, 0, 0), nc)
-            else:
-                assert abs(b) < abs(K), "swap recursion must shrink"
-                for cs, al, be, gg in swap_loops(b, e):
-                    _acc(acc, (a + al, be, gg), P.pmul(nc, cs))
+        for wk, c in rmul_axis(rest, e).terms.items():
+            _acc(acc, _h2_exps(wk), c)
         res = []
         for (a, b, g), c in sorted(acc.items()):
             q = P.pdivexact_mono(c, cc, cqe, cze)
@@ -465,39 +375,21 @@ def rmul_sigma(el, i, sign):
     return AlgebraElement(el.n, out)
 
 
-def _tail_lmul(tails, i, sign):
-    """Left multiply a {perm: coeff} table by gi^{sign}."""
-    out = {}
-    for perm, c in tails.items():
-        asc = perm.index(i - 1) < perm.index(i)
-        other = _swap_left(perm, i)
-        if sign > 0:
-            if asc:
-                _acc(out, other, c)
-            else:
-                _acc(out, perm, _times_qm1(c, 1))
-                _acc(out, other, P.pshift(c, 1, 0))
-        else:
-            if asc:
-                _acc(out, other, P.pshift(c, -1, 0))
-                _acc(out, perm, _times_qm1(c, -1))
-            else:
-                _acc(out, other, c)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _tail_table(perm, tail):
     """The braiding word tail times T_perm, as (perm', q-coefficient) pairs.
 
-    Left multiplication is linear in the coefficient, so rmul_axis scales
-    this one expansion per term. Tails come from insert_loop, so there
-    are at most n! * O(n^2) entries.
+    Folds the tail letters and then T_perm's block letters through
+    rmul_sigma, once per (perm, tail); rmul_axis scales this one expansion
+    per term. Tails come from insert_loop, so there are at most
+    n! * O(n^2) entries.
     """
-    tails = {perm: P.pconst(1)}
-    for j, sgn in reversed(tail):
-        tails = _tail_lmul(tails, j, sgn)
-    return tuple(tails.items())
+    el = AlgebraElement.one(len(perm))
+    for j, sgn in tail:
+        el = rmul_sigma(el, j, sgn)
+    for i in block_letters(perm_blocks(perm)):
+        el = rmul_sigma(el, i, 1)
+    return tuple((pm, c) for (_, pm), c in el.terms.items())
 
 
 def rmul_axis(el, e):

@@ -97,7 +97,7 @@ def compare_mirror(p, k_max):
     """
     neg = generate_system(p, k_max, "-")
     pos = generate_system(p, k_max, "+")
-    direct = {(e.source.entries, e.sign): e for e in pos.equations}
+    direct = {e.key(): e for e in pos.equations}
     entries = []
     all_below_p_match = True
     mismatch_levels = set()
@@ -112,7 +112,7 @@ def compare_mirror(p, k_max):
             entries.append(row)
             all_below_p_match = False
             continue
-        tgt = direct[(img.source.entries, img.sign)]
+        tgt = direct[img.key()]
         same = img.lhs == tgt.lhs and img.rhs == tgt.rhs and img.coeff == tgt.coeff
         row["status"] = "exact" if same else "mismatch"
         if not same:

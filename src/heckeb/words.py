@@ -20,8 +20,6 @@ import json
 import re
 from dataclasses import dataclass
 
-AXIS = "loop"  # index 0 loop letter doubles as the axis generator t
-
 _TOKEN_RE = re.compile(r"^(t(\d+)?('?)|g(\d+))(\^(-?\d+))?$")
 
 
@@ -339,33 +337,24 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _ordered_exponents(total, parts, max_abs):
-    """Nondecreasing nonzero exponent tuples with the given sum, lex order."""
-
-    def rec(remaining_parts, minimum, total_left):
-        if remaining_parts == 0:
-            if total_left == 0:
-                yield ()
-            return
-        for v in range(max(minimum, -max_abs), max_abs + 1):
-            if v == 0:
-                continue
-            for rest in rec(remaining_parts - 1, v, total_left - v):
-                yield (v,) + rest
-
-    return rec(parts, -max_abs, total)
+_LEVEL_MAX = 16  # level k has 2^(|k|-1) words
 
 
-def enumerate_level(k, side, max_parts=None, max_abs=None):
+def enumerate_level(k, side):
     """Loop monomials of the requested exponent sum.
 
     side "+": gap-free, all exponents positive (k >= 0; 2^(k-1) words for
     k >= 1, the empty word for k = 0). side "-": the exponent flips of the
     "+" enumeration at level -k, in matching order (requires k <= 0 with
-    this convention: pass the desired sum). side "ordered": primed,
-    gap-free, exponents nondecreasing and nonzero, bounded by max_parts
-    and max_abs (both required).
+    this convention: pass the desired sum). Every word is built in memory,
+    so |k| above 16 (2^15 = 32768 words at the limit) is a WordError.
     """
+    if side not in ("+", "-"):
+        raise WordError("side must be '+' or '-'")
+    if abs(k) > _LEVEL_MAX:
+        raise WordError(
+            "level %d has 2^%d words; |level| <= %d" % (k, abs(k) - 1, _LEVEL_MAX)
+        )
     if side == "+":
         if k < 0:
             raise WordError("positive side needs k >= 0")
@@ -378,21 +367,9 @@ def enumerate_level(k, side, max_parts=None, max_abs=None):
                     LoopMonomial(tuple(enumerate(comp)))
                 )
         return out
-    if side == "-":
-        if k > 0:
-            raise WordError("negative side needs k <= 0")
-        return [m.flip() for m in enumerate_level(-k, "+")]
-    if side == "ordered":
-        if max_parts is None or max_abs is None:
-            raise WordError("ordered side needs max_parts and max_abs")
-        out = []
-        if k == 0:
-            out.append(LoopMonomial((), primed=True))
-        for parts in range(1, max_parts + 1):
-            for exps in _ordered_exponents(k, parts, max_abs):
-                out.append(LoopMonomial(tuple(enumerate(exps)), primed=True))
-        return out
-    raise WordError("side must be '+', '-', or 'ordered'")
+    if k > 0:
+        raise WordError("negative side needs k <= 0")
+    return [m.flip() for m in enumerate_level(-k, "+")]
 
 
 def enumerate_abs_level(abs_max, n_max, primed=True):

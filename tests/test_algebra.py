@@ -11,6 +11,8 @@ from heckeb import poly as P
 from heckeb.words import WordError, parse_word
 
 ONE_M_QI = {(0, 0): 1, (-1, 0): -1}
+Q_M1 = {(1, 0): 1, (0, 0): -1}  # q - 1
+QI_M1 = {(-1, 0): 1, (0, 0): -1}  # q^-1 - 1
 
 
 def fold(el, letters):
@@ -78,6 +80,53 @@ def test_swap_loops_q1_degeneration():
                     acc[(a, b, g)] = acc.get((a, b, g), 0) + val
             acc = {k: v for k, v in acc.items() if v}
             assert acc == {(e, K, 0): 1}, (K, e)
+
+
+def _two_strand(terms):
+    """A two-strand element from {(a, b, g): coeff} for t^a t1'^b g1^g."""
+    el = A.AlgebraElement(2)
+    for (a, b, g), c in terms.items():
+        loops = tuple((j, x) for j, x in ((0, a), (1, b)) if x)
+        el.add_term(loops, (1, 0) if g else (0, 1), c)
+    return el
+
+
+def test_unprime_loop_unit_powers():
+    # t1 = q t1' + (q-1) t1' g1;
+    # t1^-1 = q^-1 t1'^-1 + (q^-2 - q^-1) t^-1 g1 + (q^-1 - 1)^2 t^-1
+    assert A.unprime_loop(1) == _two_strand(
+        {(0, 1, 0): {(1, 0): 1}, (0, 1, 1): Q_M1}
+    )
+    assert A.unprime_loop(-1) == _two_strand(
+        {
+            (0, -1, 0): {(-1, 0): 1},
+            (-1, 0, 1): {(-2, 0): 1, (-1, 0): -1},
+            (-1, 0, 0): P.pmul(QI_M1, QI_M1),
+        }
+    )
+
+
+def test_unprime_loop_q1_degeneration():
+    # at q = 1 the braiding is a plain transposition and t1 = t1'
+    for K in range(-6, 7):
+        if K == 0:
+            continue
+        at_one = {}
+        for key, c in A.unprime_loop(K).terms.items():
+            val = sum(c.values())
+            if val:
+                at_one[key] = val
+        assert at_one == {(((1, K),), (0, 1)): 1}, K
+
+
+def test_swap_loops_solve_the_commutation():
+    # t^e t1^K = t1^K t^e: the left side needs only the +-1 swaps,
+    # the right side the swap_loops(K', e) tables with |K'| <= |K|
+    for K in [k for k in range(-5, 6) if k]:
+        for e in [x for x in range(-4, 5) if x]:
+            left = A.project_braid(parse_word("t^%d t1^%d" % (e, K), n=2))
+            right = A.project_braid(parse_word("t1^%d t^%d" % (K, e), n=2))
+            assert left == right, (K, e)
 
 
 def test_braid_relation():
@@ -161,21 +210,35 @@ def test_band_generator_two_spellings():
         assert fold(A.AlgebraElement.one(n), w1) == fold(A.AlgebraElement.one(n), w2)
 
 
-def test_times_qm1_matches_pmul():
-    rng = random.Random(41)
-    for _ in range(100):
-        c = {}
-        for _ in range(rng.randrange(0, 20)):
-            e = rng.randrange(-8, 9)
-            v = c.get((e, 0), 0) + rng.randint(-5, 5)
-            c[(e, 0)] = v
-        c = {k: v for k, v in c.items() if v}
-        assert A._times_qm1(c, 1) == P.pmul(c, A._Q1)
-        assert A._times_qm1(c, -1) == P.pmul(c, A._QI1)
+def _ref_tail_lmul(tails, i, sign):
+    """Left multiply a {perm: coeff} table by gi^{sign}, letter by letter.
+
+    The rule on values: gi T_w is T_{si w} when w^-1 ascends at i (the
+    values i-1, i appear in order), else (q - 1) T_w + q T_{si w}; the
+    inverse letter mirrors it with q^-1.
+    """
+    out = {}
+    for perm, c in tails.items():
+        asc = perm.index(i - 1) < perm.index(i)
+        other = tuple(i if x == i - 1 else i - 1 if x == i else x for x in perm)
+        if sign > 0:
+            if asc:
+                _ref_add(out, other, c)
+            else:
+                _ref_add(out, perm, P.pmul(c, Q_M1))
+                _ref_add(out, other, P.pshift(c, 1, 0))
+        else:
+            if asc:
+                _ref_add(out, other, P.pshift(c, -1, 0))
+                _ref_add(out, perm, P.pmul(c, QI_M1))
+            else:
+                _ref_add(out, other, c)
+    return out
 
 
 def test_tail_table_scales_per_coefficient():
-    # expanding {perm: c} letter by letter equals c times the memoized table
+    # expanding {perm: c} letter by letter from the left equals c times
+    # the memoized table, which rmul_sigma builds from the right
     rng = random.Random(42)
     n = 4
     c = {(-1, 0): 3, (0, 0): -1, (2, 0): 2}
@@ -184,7 +247,7 @@ def test_tail_table_scales_per_coefficient():
         tail = rng.choice(tails) + rng.choice(tails)
         direct = {w: c}
         for j, sgn in reversed(tail):
-            direct = A._tail_lmul(direct, j, sgn)
+            direct = _ref_tail_lmul(direct, j, sgn)
         scaled = {pm: P.pmul(c, t) for pm, t in A._tail_table(w, tail)}
         assert scaled == direct, (w, tail)
 
@@ -285,12 +348,12 @@ def _ref_rmul_sigma(el, i, sign):
             if asc:
                 _ref_add(out, (loops, other), c)
             else:
-                _ref_add(out, (loops, perm), A._times_qm1(c, 1))
+                _ref_add(out, (loops, perm), P.pmul(c, Q_M1))
                 _ref_add(out, (loops, other), P.pshift(c, 1, 0))
         else:
             if asc:
                 _ref_add(out, (loops, other), P.pshift(c, -1, 0))
-                _ref_add(out, (loops, perm), A._times_qm1(c, -1))
+                _ref_add(out, (loops, perm), P.pmul(c, QI_M1))
             else:
                 _ref_add(out, (loops, other), c)
     return A.AlgebraElement(el.n, out)
@@ -345,7 +408,7 @@ def _rand_element(rng, n, i=None, sign=1):
         e = 1 if sign > 0 else -1
         loops = _rand_loops(rng, n)
         el.add_term(loops, split, c)
-        el.add_term(loops, plain, P.pneg(A._times_qm1(c, e)))
+        el.add_term(loops, plain, P.pneg(P.pmul(c, Q_M1 if e > 0 else QI_M1)))
     return el
 
 

@@ -86,6 +86,15 @@ def test_enum(capsys):
     assert out == "t^-1\n"
 
 
+def test_enum_level_limit(capsys):
+    # level 16 (2^15 words) is the largest that is enumerated in memory
+    code, out, _ = run(capsys, "enum", "--level", "16", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 32768
+    for level in ("17", "-17"):
+        code, out, err = run(capsys, "enum", "--level", level, "--side", "-")
+        assert code == 1 and out == "" and "16" in err
+
+
 def test_gen_system_text(capsys):
     code, out, _ = run(capsys, "gen-system", "--p", "2", "--k-max", "1")
     assert code == 0

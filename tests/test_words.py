@@ -144,6 +144,15 @@ def test_enumerate_level_contents():
         assert m.level == -3
 
 
+def test_enumerate_level_bounds():
+    assert len(enumerate_level(16, "+")) == 2 ** 15
+    for k, side in ((17, "+"), (-17, "-"), (40, "+")):
+        with pytest.raises(WordError):
+            enumerate_level(k, side)
+    with pytest.raises(WordError):
+        enumerate_level(2, "ordered")
+
+
 def test_enumerate_abs_level():
     # the ordered family: gap-free, nondecreasing nonzero exponents
     out = enumerate_abs_level(2, 2, primed=True)
