@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 
 from . import poly as P
-from .words import MixedBraidWord, WordError, order_key
+from .words import WordError, order_key
 
 # -- permutations (one-line tuples, positions and values 0-based) --------
 
@@ -458,17 +458,3 @@ def project_braid(word):
         el = rmul_letter(el, kind, idx, exp)
     return el
 
-
-def mul(a, b):
-    """Product of two canonical-form elements."""
-    if a.n != b.n:
-        raise WordError("strand counts differ")
-    out = AlgebraElement.zero(a.n)
-    for (loops, perm), c in b.terms.items():
-        cur = a.scale(c)
-        for i, e in loops:
-            cur = rmul_ploop(cur, i, e)
-        for i in block_letters(perm_blocks(perm)):
-            cur = rmul_sigma(cur, i, 1)
-        out = out.add(cur)
-    return out

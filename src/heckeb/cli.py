@@ -158,8 +158,6 @@ def _reduced_text(r):
 
 
 def _cmd_reduce(args):
-    if args.side != "+":
-        raise WordError("reduction runs on the positive side")
     r = reduce_system(generate_system(args.p, args.k_max, "+"))
     _emit(args, lambda: _reduced_text(r), r.to_json())
     return 0
@@ -310,10 +308,9 @@ def build_parser():
     p.add_argument("--side", default="+")
     p.set_defaults(fn=_cmd_gen_system)
 
-    p = sub.add_parser("reduce", parents=[fmt], help="eliminate the system into rules")
+    p = sub.add_parser("reduce", parents=[fmt], help="eliminate the positive system into rules")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
-    p.add_argument("--side", default="+")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("mirror", parents=[fmt], help="mirror the negative system and diff")

@@ -5,14 +5,15 @@ A polynomial in q and z with integer coefficients is a plain dict
 dict is zero.  Exponents may be negative.  All functions return fresh
 dicts and never mutate their arguments.
 
-The gcd and exact division run on big integers: both polynomials are
-packed into integers by Kronecker substitution, CPython's integer gcd or
-divmod does the work, and the unpacked result is accepted only when a
-coefficient bound and a degree check prove it multiplies back to the
-inputs (heuristic gcd, GCDHEU). A rejected candidate is retried with a
-wider packing; a primitive remainder sequence is the last resort. pgcd
-returns the two cofactors with the gcd, so reducing a fraction takes no
-division.
+The gcd runs on big integers: both polynomials are packed into integers
+by Kronecker substitution, CPython's integer gcd does the work, and the
+unpacked gcd and cofactors are accepted only when a coefficient bound
+and a degree check prove they multiply back to the inputs (heuristic
+gcd, GCDHEU). A rejected candidate is retried with a different packing;
+a primitive remainder sequence (PRS) is the last resort. pgcd returns
+the two cofactors with the gcd, so reducing a fraction takes no
+division. Exact division (pdivexact) by a polynomial that is not a
+monomial is the PRS layer's long division.
 """
 
 import math
@@ -195,10 +196,10 @@ def pformat(a, vars=("q", "z")):
 
 
 # -- gcd support ---------------------------------------------------------
-# pgcd and pdivexact hand their work to CPython's big-integer gcd and
-# division (GCDHEU: Char, Geddes, Gonnet, J. Symbolic Comput. 7 (1989)
-# 31-48, with Kronecker substitution: Geddes, Czapor, Labahn, Algorithms
-# for Computer Algebra, 1992, 7.7).
+# pgcd hands its work to CPython's big-integer gcd (GCDHEU: Char,
+# Geddes, Gonnet, J. Symbolic Comput. 7 (1989) 31-48, with Kronecker
+# substitution: Geddes, Czapor, Labahn, Algorithms for Computer Algebra,
+# 1992, 7.7).
 #
 # Packing. A polynomial with minimal exponents (0, 0) and q-degree below
 # D is the integer A(X, X^D): term (qe, ze) is base-X digit qe + D*ze.
@@ -207,23 +208,21 @@ def pformat(a, vars=("q", "z")):
 # coefficient back. The first X also covers ||A|| min(#A, #B), which
 # saves most retries of the bound check below.
 #
-# Acceptance. The gcd h = gcd(A(X), B(X)) (or the quotient A(X) // B(X))
-# is unpacked to H, and the cofactor A(X) // h to C. H is accepted only
-# when two checks prove H*C = A as polynomials:
+# Acceptance. The gcd h = gcd(A(X), B(X)) is unpacked to H, and the
+# cofactor A(X) // h to C. H is accepted only when two checks prove
+# H*C = A as polynomials (and likewise for B):
 #   * ||H|| ||C|| min(#H, #C) < X/2 bounds every coefficient of H*C, so
 #     H(X)C(X) = A(X) means H*C = A in Z[t] for q = t, z = t^D;
 #   * deg_q H + deg_q C < D: no q-power of H*C wraps into the z-digits.
 # By the GCDHEU theorem a gcd candidate that passes (for A and B) is the
 # gcd, and the two checked cofactors are A/H and B/H, so pgcd returns
-# them instead of dividing again. A nonzero remainder of A(X) // B(X)
-# proves b does not divide a.
+# them instead of dividing again.
 #
 # Retries. Integer images can share a factor the polynomials do not:
 # z - q - qz and q - 1 - z both map to multiples of t^2 - t + 1 at D = 2,
-# where the candidate 1 + z - q fails only the degree check. A gcd retry
-# therefore packs with D + 1 as well as a wider X; a division retry only
-# widens X. After _HEU_TRIES failures the primitive remainder sequence
-# (PRS) further below decides.
+# where the candidate 1 + z - q fails only the degree check. A retry
+# therefore packs with D + 1 as well as a wider X. After _HEU_TRIES
+# failures the primitive remainder sequence (PRS) further below decides.
 
 _HEU_TRIES = 4
 
@@ -321,27 +320,6 @@ def _heu_gcd(a, b):
     return None
 
 
-def _heu_divexact(a, b):
-    """a / b for a and b with min exponents (0, 0), or None when no packing
-    in _HEU_TRIES proved the quotient; ValueError when b does not divide a."""
-    qa = max(a)[0]
-    if max(b)[0] > qa or max(b, key=_zexp)[1] > max(a, key=_zexp)[1]:
-        raise ValueError("inexact division")
-    d = 1 + qa
-    w = _width(max(_norm(a), _norm(b)) * min(len(a), len(b)))
-    for _ in range(_HEU_TRIES):
-        t, r = divmod(_pack(a, d, w), _pack(b, d, w))
-        if r:
-            raise ValueError("inexact division")
-        c = _unpack(t, d, w)
-        bound = _product_bound(b, c, d)
-        half = 1 << (8 * w - 1)
-        if bound < half:
-            return c
-        w = _width(max(bound, half))
-    return None
-
-
 def _cofactor(f, k, qe, ze):
     """k q^qe z^ze f; f itself when that is f (pgcd owns every f)."""
     if k == 1 and not qe and not ze:
@@ -399,7 +377,10 @@ def pgcd(a, b):
 
 
 def pdivexact(a, b):
-    """Exact division of Laurent polynomials; raises ValueError if inexact."""
+    """Exact division of Laurent polynomials; raises ValueError if inexact.
+
+    A monomial divisor shifts and divides the coefficients; any other
+    divisor takes the long division of the PRS layer below."""
     if not b:
         raise ZeroDivisionError("zero divisor")
     if not a:
@@ -408,19 +389,15 @@ def pdivexact(a, b):
     if len(b) == 1:
         return pdivexact_mono(a, b[(qb, zb)], qb, zb)
     qa, za = pminexp(a)
-    a = pshift(a, -qa, -za)
-    b = pshift(b, -qb, -zb)
-    out = _heu_divexact(a, b)
-    if out is None:
-        out = _join_z(_zdivexact(_split_z(a), _split_z(b)))
-    return pshift(out, qa - qb, za - zb)
+    out = _zdivexact(_split_z(pshift(a, -qa, -za)), _split_z(pshift(b, -qb, -zb)))
+    return pshift(_join_z(out), qa - qb, za - zb)
 
 
 # -- primitive remainder sequence ---------------------------------------
-# The fallback of pgcd and pdivexact, and the reference the tests compare
-# them with. Univariate helpers work on dicts {exp: coeff} over the
-# integers; the bivariate layer views a polynomial as a list over z-degree
-# with q-poly coefficients.
+# The fallback of pgcd, the long division of pdivexact, and the
+# reference the tests compare pgcd with. Univariate helpers work on dicts
+# {exp: coeff} over the integers; the bivariate layer views a polynomial
+# as a list over z-degree with q-poly coefficients.
 
 
 def _qprim(f):

@@ -29,13 +29,11 @@ the two image words.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import poly as P
 from .algebra import (
     AlgebraElement,
-    block_letters,
     perm_blocks,
     perm_of_blocks,
     project_braid,
@@ -251,23 +249,6 @@ def trace(el):
 def trace_of_word(word):
     """The trace of a braid word (projects first)."""
     return trace(project_braid(word))
-
-
-def trace_with_rotation_check(word, seed=7):
-    """Trace of a word, re-derived after a seeded cyclic rotation.
-
-    tr(AB) = tr(BA), so rotating the letters must not change the value;
-    the rotated copy exercises a different normalization path. Raises
-    AssertionError on disagreement.
-    """
-    base = trace_of_word(word)
-    letters = word.letters
-    if letters:
-        r = random.Random(seed).randrange(len(letters))
-        rotated = MixedBraidWord(word.n, letters[r:] + letters[:r])
-        again = trace_of_word(rotated)
-        assert base == again, "trace changed under cyclic rotation"
-    return base
 
 
 # -- the solid-torus invariant ----------------------------------------------

@@ -35,10 +35,6 @@ from .words import (
 
 DEFAULT_SEED = 7
 
-# coefficient dicts in the (q-exp, z-exp) polynomial encoding
-_Q1 = {(1, 0): 1, (0, 0): -1}
-_QI1 = {(-1, 0): 1, (0, 0): -1}
-
 RF_Q = rf_mono(1, 1, 0)
 RF_QI = rf_mono(1, -1, 0)
 RF_Q1 = RF_Q - rf_mono(1)
@@ -70,6 +66,11 @@ def _report(suite, checked, failures, params, notes=()):
         "params": {k: str(v) for k, v in dict(params).items()},
         "notes": list(notes),
     }
+
+
+def _qm1(s, j):
+    """q^j (q^s - 1) as a polynomial dict."""
+    return {(j + s, 0): 1, (j, 0): -1}
 
 
 def _letters_el(n, letters):
@@ -294,7 +295,7 @@ def suite_relations(n=4, samples=200, seed=DEFAULT_SEED):
         b = _random_letters(rng, nn, rng.randrange(0, 6))
         ea = _letters_el(nn, a)
         left = A.rmul_sigma(A.rmul_sigma(ea, i, 1), i, 1)
-        right = A.rmul_sigma(ea, i, 1).scale(_Q1).add(ea.scale({(1, 0): 1}))
+        right = A.rmul_sigma(ea, i, 1).scale(_qm1(1, 0)).add(ea.scale({(1, 0): 1}))
         for kind, j, e in b:
             left = A.rmul_letter(left, kind, j, e)
             right = A.rmul_letter(right, kind, j, e)
@@ -416,40 +417,28 @@ def suite_eq15(n=3, k=5):
     for nn in range(1, n + 1):
         strands = nn + 1
         for kk in range(1, k + 1):
-            lhs = _letters_el(strands, [("loop", nn, kk), ("sigma", nn, 1)])
-            terms = []
-            for j in range(kk):
-                coeff = P.pmul(_Q1, {(j, 0): 1})
-                letters = ([("loop", nn - 1, j)] if j else []) + [
-                    ("loop", nn, kk - j)
+            for s, line in ((1, "positive"), (-1, "negative-short-tail")):
+                lhs = _letters_el(strands, [("loop", nn, s * kk), ("sigma", nn, s)])
+                terms = [
+                    (
+                        _qm1(s, s * j),
+                        ([("loop", nn - 1, s * j)] if j else [])
+                        + [("loop", nn, s * (kk - j))],
+                    )
+                    for j in range(kk)
                 ]
-                terms.append((coeff, letters))
-            terms.append(({(kk, 0): 1}, [("sigma", nn, 1), ("loop", nn - 1, kk)]))
-            checked += 1
-            if lhs != _combination(strands, terms):
-                failures.append({"line": "positive", "n": str(nn), "k": str(kk)})
-            lhs = _letters_el(strands, [("loop", nn, -kk), ("sigma", nn, -1)])
-            terms = []
-            for j in range(0, -kk, -1):
-                coeff = P.pmul(_QI1, {(j, 0): 1})
-                letters = ([("loop", nn - 1, j)] if j else []) + [
-                    ("loop", nn, -kk - j)
-                ]
-                terms.append((coeff, letters))
-            terms.append(
-                ({(-kk, 0): 1}, [("sigma", nn, -1), ("loop", nn - 1, -kk)])
-            )
-            checked += 1
-            if lhs != _combination(strands, terms):
-                failures.append(
-                    {"line": "negative-short-tail", "n": str(nn), "k": str(kk)}
+                terms.append(
+                    ({(s * kk, 0): 1}, [("sigma", nn, s), ("loop", nn - 1, s * kk)])
                 )
+                checked += 1
+                if lhs != _combination(strands, terms):
+                    failures.append({"line": line, "n": str(nn), "k": str(kk)})
     # the conjugated three-letter tail candidate, smallest instance
     lhs = _letters_el(2, [("loop", 1, -1), ("sigma", 1, -1)])
     alt = _combination(
         2,
         [
-            (_QI1, [("loop", 1, -1)]),
+            (_qm1(-1, 0), [("loop", 1, -1)]),
             (
                 {(-1, 0): 1},
                 [("sigma", 1, 1), ("loop", 0, -1), ("sigma", 1, -1)],
@@ -474,56 +463,28 @@ def suite_lemma2(n=3, k=5):
     for nn in range(1, n + 1):
         strands = nn + 1
         for kk in range(1, k + 1):
-            lhs = _letters_el(strands, [("loop", nn, kk)])
-            terms = []
-            for j in range(1, kk):
-                coeff = P.pmul({(j - 1, 0): 1}, _Q1)
-                terms.append(
+            for s, part in ((1, "positive"), (-1, "negative")):
+                lhs = _letters_el(strands, [("loop", nn, s * kk)])
+                terms = [
                     (
-                        coeff,
+                        _qm1(s, s * (j - 1)),
                         [
-                            ("loop", nn - 1, j),
-                            ("loop", nn, kk - j),
-                            ("sigma", nn, 1),
+                            ("loop", nn - 1, s * j),
+                            ("loop", nn, s * (kk - j)),
+                            ("sigma", nn, s),
                         ],
                     )
-                )
-            terms.append(
-                (
-                    {(kk - 1, 0): 1},
-                    [("sigma", nn, 1), ("loop", nn - 1, kk), ("sigma", nn, 1)],
-                )
-            )
-            checked += 1
-            if lhs != _combination(strands, terms):
-                failures.append({"part": "positive", "n": str(nn), "k": str(kk)})
-            lhs = _letters_el(strands, [("loop", nn, -kk)])
-            terms = []
-            for j in range(-1, -kk, -1):
-                coeff = P.pmul({(j + 1, 0): 1}, _QI1)
+                    for j in range(1, kk)
+                ]
                 terms.append(
                     (
-                        coeff,
-                        [
-                            ("loop", nn - 1, j),
-                            ("loop", nn, -kk - j),
-                            ("sigma", nn, -1),
-                        ],
+                        {(s * (kk - 1), 0): 1},
+                        [("sigma", nn, s), ("loop", nn - 1, s * kk), ("sigma", nn, s)],
                     )
                 )
-            terms.append(
-                (
-                    {(-kk + 1, 0): 1},
-                    [
-                        ("sigma", nn, -1),
-                        ("loop", nn - 1, -kk),
-                        ("sigma", nn, -1),
-                    ],
-                )
-            )
-            checked += 1
-            if lhs != _combination(strands, terms):
-                failures.append({"part": "negative", "n": str(nn), "k": str(kk)})
+                checked += 1
+                if lhs != _combination(strands, terms):
+                    failures.append({"part": part, "n": str(nn), "k": str(kk)})
     return _report("lemma2", checked, failures, {"n": n, "k": k})
 
 
@@ -534,38 +495,25 @@ def suite_lemma3(n=3, k=5):
     for nn in range(1, n + 1):
         strands = nn + 2
         for kk in range(1, k + 1):
-            lhs = _letters_el(strands, [("loop", nn, kk), ("sigma", nn + 1, 1)])
-            terms = [
-                (
-                    {(-kk + 1, 0): 1},
-                    [("sigma", nn + 1, -1), ("loop", nn + 1, kk)],
+            for s, part in ((1, "positive"), (-1, "negative")):
+                lhs = _letters_el(
+                    strands, [("loop", nn, s * kk), ("sigma", nn + 1, s)]
                 )
-            ]
-            for j in range(1, kk):
-                coeff = P.pmul({(-j + 1, 0): 1}, _QI1)
-                terms.append(
-                    (coeff, [("loop", nn, kk - j), ("loop", nn + 1, j)])
-                )
-            checked += 1
-            if lhs != _combination(strands, terms):
-                failures.append({"part": "positive", "n": str(nn), "k": str(kk)})
-            lhs = _letters_el(
-                strands, [("loop", nn, -kk), ("sigma", nn + 1, -1)]
-            )
-            terms = [
-                (
-                    {(kk - 1, 0): 1},
-                    [("sigma", nn + 1, 1), ("loop", nn + 1, -kk)],
-                )
-            ]
-            for j in range(1, kk):
-                coeff = P.pmul({(j - 1, 0): 1}, _Q1)
-                terms.append(
-                    (coeff, [("loop", nn, -kk + j), ("loop", nn + 1, -j)])
-                )
-            checked += 1
-            if lhs != _combination(strands, terms):
-                failures.append({"part": "negative", "n": str(nn), "k": str(kk)})
+                terms = [
+                    (
+                        {(-s * (kk - 1), 0): 1},
+                        [("sigma", nn + 1, -s), ("loop", nn + 1, s * kk)],
+                    )
+                ] + [
+                    (
+                        _qm1(-s, -s * (j - 1)),
+                        [("loop", nn, s * (kk - j)), ("loop", nn + 1, s * j)],
+                    )
+                    for j in range(1, kk)
+                ]
+                checked += 1
+                if lhs != _combination(strands, terms):
+                    failures.append({"part": part, "n": str(nn), "k": str(kk)})
     return _report("lemma3", checked, failures, {"n": n, "k": k})
 
 
@@ -576,12 +524,11 @@ def _s_mono(*indices):
 
 def _axis_move_goldens(p):
     """The four displayed two-strand trace expansions at axis power p."""
-    q1 = _Q1
-    qi1 = _QI1
-    qinv = {(-1, 0): 1}
+    q1 = _qm1(1, 0)
+    qi1 = _qm1(-1, 0)
     out = []
     want = TraceValue.zero()
-    want.add_term(_s_mono(1, p), RatFunc.from_poly(P.pmul({(1, 0): 1}, q1)))
+    want.add_term(_s_mono(1, p), RatFunc.from_poly(_qm1(1, 1)))
     want.add_term(
         _s_mono(p + 1),
         RatFunc.from_poly(P.padd(P.pshift(P.pmul(q1, q1), 0, 1), P.pmono(1, 1, 1))),
@@ -593,15 +540,14 @@ def _axis_move_goldens(p):
     out.append(("t^%d t1" % p, want))
     want = TraceValue.zero()
     want.add_term(_s_mono(-1, p), rf_mono(1, -1, 0))
-    c = P.padd(P.pshift(P.pmul(qinv, qi1), 0, 1), P.pmul(qi1, qi1))
+    c = P.padd(P.pshift(_qm1(-1, -1), 0, 1), P.pmul(qi1, qi1))
     want.add_term(_s_mono(p - 1), RatFunc.from_poly(c))
     out.append(("t^%d t1^-1" % p, want))
     want = TraceValue.zero()
-    want.add_term(_s_mono(-1, p), RatFunc.from_poly(P.pmul(qinv, qi1)))
-    c = P.pzero()
-    c = P.padd(c, P.pshift(P.pmul(qinv, P.pmul(qi1, qi1)), 0, 1))
+    want.add_term(_s_mono(-1, p), RatFunc.from_poly(_qm1(-1, -1)))
+    c = P.pshift(P.pmul(_qm1(-1, -1), qi1), 0, 1)
     c = P.padd(c, P.pmul(qi1, P.pmul(qi1, qi1)))
-    c = P.padd(c, P.pmul(qinv, qi1))
+    c = P.padd(c, _qm1(-1, -1))
     c = P.padd(c, P.pmono(1, -2, 1))
     want.add_term(_s_mono(p - 1), RatFunc.from_poly(c))
     out.append(("t^%d t1^-1 g1^-1" % p, want))

@@ -16,7 +16,6 @@ experiment.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -27,13 +26,20 @@ class WordError(ValueError):
     """Malformed word text, bad index ranges, or wrong letter shapes."""
 
 
+# The work per word grows with the strand count (the trace of t_j doubles
+# per strand), so it is bounded; the words of every level that
+# enumerate_level accepts fit.
+_STRANDS_MAX = 16
+
+
 @dataclass(frozen=True)
 class MixedBraidWord:
     """A word in t, ti, ti', gi on n strands.
 
     letters: tuple of (kind, index, exp) with kind in {"loop", "ploop",
     "sigma"}; "loop" index 0 is the axis generator t. Exponents are
-    nonzero; zero-exponent letters are dropped at construction.
+    nonzero; zero-exponent letters are dropped at construction. More
+    than 16 strands is a WordError.
     """
 
     n: int
@@ -42,6 +48,8 @@ class MixedBraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise WordError("strand count must be >= 1")
+        if self.n > _STRANDS_MAX:
+            raise WordError("%d strands; at most %d" % (self.n, _STRANDS_MAX))
         clean = []
         for kind, idx, exp in self.letters:
             if exp == 0:
@@ -153,20 +161,6 @@ def word_to_json(w):
         "n": w.n,
         "letters": [[_letter_token(k, i), e] for k, i, e in w.letters],
     }
-
-
-def word_from_json(data):
-    if isinstance(data, str):
-        data = json.loads(data)
-    n = data["n"]
-    letters = []
-    for base, exp in data["letters"]:
-        sub = parse_word(base, n=n)
-        if len(sub.letters) != 1:
-            raise WordError("bad letter %r" % base)
-        kind, idx, _ = sub.letters[0]
-        letters.append((kind, idx, exp))
-    return MixedBraidWord(n, tuple(letters))
 
 
 # -- loop monomials -----------------------------------------------------

@@ -296,17 +296,6 @@ def test_canonical_word_str():
     assert A.canonical_word_str(((0, 1),), (1, 0)) == "t0' g1"
 
 
-def test_mul_matches_letter_fold():
-    rng = random.Random(47)
-    for _ in range(15):
-        n = rng.choice([2, 3, 4])
-        wa = rand_word(rng, n, rng.randrange(0, 5))
-        wb = rand_word(rng, n, rng.randrange(0, 5))
-        ea = fold(A.AlgebraElement.one(n), wa)
-        eb = fold(A.AlgebraElement.one(n), wb)
-        assert A.mul(ea, eb) == fold(ea, wb)
-
-
 def test_element_arithmetic():
     rng = random.Random(48)
     n = 3

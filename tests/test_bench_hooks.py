@@ -15,7 +15,6 @@ def _traced():
 
 
 def _module(name):
-    # the package rebinds heckeb.trace to the trace function
     return importlib.import_module("heckeb." + name)
 
 

@@ -239,9 +239,17 @@ def test_imap_domain_error(capsys):
 
 
 def test_reduce_rejects_negative_side(capsys):
-    code, _, err = run(capsys, "reduce", "--p", "2", "--k-max", "2", "--side", "-")
+    # reduce runs on the positive system only and takes no --side
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce", "--p", "2", "--k-max", "2", "--side", "-"])
+    assert exc.value.code == 2
+
+
+def test_strand_limit_exits_1(capsys):
+    code, out, err = run(capsys, "normalize", "1", "--n", "17")
     assert code == 1
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_usage_error_exits_2(capsys):

@@ -211,17 +211,6 @@ def test_gcd_strips_integer_factor_of_image(pack_widths):
     assert pack_widths == [1, 1]
 
 
-def test_division_widens_packing_for_large_quotient(pack_widths):
-    # (1 - q)^2 (1 + 2q + ... + 30 q^29) = 1 - 31 q^30 + 30 q^31: the
-    # quotient's bound 2 * 30 * 3 does not fit the first one-byte digits
-    c = {(e, 0): e + 1 for e in range(30)}
-    b = {(0, 0): 1, (1, 0): -2, (2, 0): 1}
-    a = P.pmul(b, c)
-    assert a == {(0, 0): 1, (30, 0): -31, (31, 0): 30}
-    assert P.pdivexact(a, b) == c
-    assert pack_widths == [1, 1, 2, 2]
-
-
 def test_prs_fallback_agrees(monkeypatch):
     monkeypatch.setattr(P, "_HEU_TRIES", 0)
     rng = random.Random(17)

@@ -35,7 +35,6 @@ from heckeb.trace import (
     map_index,
     trace,
     trace_of_word,
-    trace_with_rotation_check,
 )
 from heckeb.words import (
     LoopMonomial,
@@ -167,14 +166,6 @@ def test_stabilization():
         assert trace_of_word(neg) == base.scale(lam() * Z)
 
 
-def test_rotation_check_agrees():
-    rng = random.Random(53)
-    for _ in range(6):
-        n = rng.choice([2, 3])
-        w = rand_word(rng, n, rng.randrange(0, 5))
-        assert trace_with_rotation_check(w) == trace_of_word(w)
-
-
 def test_map_index():
     assert map_index(-1, 2) == 1
     assert map_index(-3, 2) == 3
@@ -258,7 +249,6 @@ def test_bbm_equation_rejects_wrong_coefficient(monkeypatch):
     def other_sign(level, sign):
         return bbm_coefficient(level, -sign)
 
-    # the package rebinds heckeb.trace to the trace function
     trace_module = importlib.import_module("heckeb.trace")
     monkeypatch.setattr(trace_module, "bbm_coefficient", other_sign)
     for m in (LoopMonomial(()), LoopMonomial(((0, 1),))):

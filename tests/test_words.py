@@ -17,7 +17,6 @@ from heckeb.words import (
     order_key,
     parse_word,
     sigma_exponent_sum,
-    word_from_json,
     word_to_json,
     word_to_text,
 )
@@ -39,6 +38,13 @@ def test_parse_errors():
         parse_word("g3", n=3)  # braid index needs n >= 4
 
 
+def test_strand_limit():
+    assert parse_word("t15").n == 16
+    for text, n in (("t16", None), ("1", 17), ("t99999", None)):
+        with pytest.raises(WordError):
+            parse_word(text, n=n)
+
+
 def test_text_roundtrip():
     rng = random.Random(31)
     kinds = ("sigma", "loop", "ploop")
@@ -53,7 +59,9 @@ def test_text_roundtrip():
                 letters.append((kind, rng.randint(0, n - 1), rng.choice((-2, -1, 1, 2))))
         w = MixedBraidWord(n, tuple(letters))
         assert parse_word(word_to_text(w), n=n) == w
-        assert word_from_json(word_to_json(w)) == w
+        data = word_to_json(w)
+        tokens = ["%s^%d" % (base, e) for base, e in data["letters"]]
+        assert parse_word(" ".join(tokens) or "1", n=data["n"]) == w
 
 
 def test_inverse_and_mul():
