@@ -108,6 +108,13 @@ def block_letters(blocks):
 _swap_cache = {}
 _unprime_cache = {}
 
+# unprime_loop(K) recurses once per unit of |K|, and the work below the
+# interpreter's recursion limit already grows steeply (one cold run of
+# t1'^K t on a 2-vCPU VM: 0.4 s at K=50, 3 s at K=100, 20 s at K=200), so
+# a larger |K| is a WordError. Lens jobs at their default settings reach
+# |K| <= 3, and the verify suites |K| <= 10.
+LOOP_EXP_MAX = 64
+
 
 def _acc(out, key, c):
     """Add the coefficient c into out[key], dropping the key at zero."""
@@ -131,10 +138,15 @@ def _h2_exps(key):
 
 
 def unprime_loop(K):
-    """The commuting loop power t1^K as a two-strand element."""
+    """The commuting loop power t1^K as a two-strand element; |K| above
+    LOOP_EXP_MAX is a WordError."""
     E = _unprime_cache.get(K)
     if E is not None:
         return E
+    if abs(K) > LOOP_EXP_MAX:
+        raise WordError(
+            "loop exponent %d passes a lower loop; |exponent| <= %d" % (K, LOOP_EXP_MAX)
+        )
     if K == 0:
         E = AlgebraElement.one(2)
     else:
@@ -168,7 +180,7 @@ def swap_loops(K, e):
         U = unprime_loop(K).terms
         pivot = (((1, K),), perm_id(2))
         c0 = U.get(pivot)
-        assert c0 is not None and P.pis_monomial(c0), "pivot term missing"
+        assert c0 is not None and len(c0) == 1, "pivot term missing"
         cc, cqe, cze = P.pmonomial_parts(c0)
         acc = {}
         rest = AlgebraElement(2)
@@ -264,15 +276,8 @@ class AlgebraElement:
             out.add_term(loops, perm, c)
         return out
 
-    def sub(self, other):
-        assert self.n == other.n
-        out = AlgebraElement(self.n, dict(self.terms))
-        for (loops, perm), c in other.terms.items():
-            out.add_term(loops, perm, P.pneg(c))
-        return out
-
     def scale(self, coeff):
-        if P.pis_zero(coeff):
+        if not coeff:
             return AlgebraElement.zero(self.n)
         return AlgebraElement(
             self.n, {k: P.pmul(v, coeff) for k, v in self.terms.items()}
@@ -284,22 +289,14 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if self.n != other.n or len(self.terms) != len(other.terms):
-            return False
-        for k, v in self.terms.items():
-            w = other.terms.get(k)
-            if w is None or not P.peq(v, w):
-                return False
-        return True
+        return self.n == other.n and self.terms == other.terms
 
     __hash__ = None
 
     def sorted_terms(self):
         def keyfun(item):
             (loops, perm), _ = item
-            idxs = tuple(i for i, _ in loops)
-            exps = tuple(e for _, e in loops)
-            return (order_key((idxs, exps)), perm_len(perm), perm)
+            return (order_key(loops), perm_len(perm), perm)
 
         return sorted(self.terms.items(), key=keyfun)
 
@@ -309,7 +306,7 @@ class AlgebraElement:
         parts = []
         for (loops, perm), c in self.sorted_terms():
             w = canonical_word_str(loops, perm)
-            if P.peq(c, P.pconst(1)):
+            if c == P.PONE:
                 parts.append(w)
             else:
                 parts.append("(%s) * %s" % (P.pformat(c), w))

@@ -6,8 +6,9 @@ bbm_equation. generate_system collects those identities for every source
 of weighted level 0..k_max on one side of the exponent sign split, both
 signs of a source at once through bbm_equation_pair, which traces the
 source once and projects the stem t^p tau_+ of the two images once.
-mirror_system pushes a negative-side bundle through the index/coefficient
-flip map, and reduce_system runs exact Gaussian elimination over the
+compare_mirror pushes the negative-side bundle through the
+index/coefficient flip map and diffs it against the positive side, and
+reduce_system runs exact Gaussian elimination over the
 rational-function field, orienting each relation so that the monomial
 carrying the largest index at least p is rewritten into lower terms.
 
@@ -76,13 +77,6 @@ def mirror_equation(eq, p):
         lhs=map_I(eq.lhs, p),
         rhs=map_I(eq.rhs, p),
     )
-
-
-def mirror_system(b):
-    """Map a negative-side bundle equation-by-equation through the flip."""
-    if b.side != "-":
-        raise ValueError("mirror_system expects a negative-side bundle")
-    return SystemBundle(b.p, b.k_max, "+", tuple(mirror_equation(e, b.p) for e in b.equations))
 
 
 def compare_mirror(p, k_max):
@@ -285,6 +279,13 @@ def back_substitution_check(r):
     return bad
 
 
+def _check_probe(probe_level_max):
+    """ValueError for a probe level that leaves nothing to check, which
+    would otherwise read as a pass."""
+    if probe_level_max < 1:
+        raise ValueError("probe level %d checks nothing; need probe >= 1" % probe_level_max)
+
+
 def _partition_monomials(level_max):
     """Multisets of positive indices with weighted level 1..level_max."""
     out = set()
@@ -307,8 +308,10 @@ def check_generating_set(r, probe_level_max):
     if an index >= p survives with no covering rule, the truncation at
     k_max was too small to decide it and it is reported as undecided, not
     recursed blindly. Confluence is probed by rebuilding the rules with the
-    opposite orientation and comparing every settled normal form.
+    opposite orientation and comparing every settled normal form. A probe
+    level below 1 probes nothing and is a ValueError.
     """
+    _check_probe(probe_level_max)
     p = r.p
     rules = r.rule_map()
     alt = reduce_system(r.bundle, orientation="low")
@@ -372,7 +375,9 @@ def candidate_basis_experiment(p, probe_level_max, k_max=None):
     higher weight). The report says whether all probed monomials with
     |index| <= p close into the window and whether any relation survives
     purely among window monomials, which would refute independence.
+    A probe level below 1 probes nothing and is a ValueError.
     """
+    _check_probe(probe_level_max)
     if k_max is None:
         k_max = probe_level_max
     win = set(_window(p))

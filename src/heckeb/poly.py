@@ -23,10 +23,6 @@ from operator import itemgetter
 _zexp = itemgetter(1)
 
 
-def pzero():
-    return {}
-
-
 def pconst(c):
     return {(0, 0): c} if c else {}
 
@@ -36,18 +32,6 @@ PONE = pconst(1)
 
 def pmono(c, qe, ze):
     return {(qe, ze): c} if c else {}
-
-
-def pis_zero(a):
-    return not a
-
-
-def pis_monomial(a):
-    return len(a) == 1
-
-
-def peq(a, b):
-    return a == b
 
 
 def padd(a, b):
@@ -170,7 +154,7 @@ def _var_power(name, e):
     return "%s^%d" % (name, e)
 
 
-def pformat(a, vars=("q", "z")):
+def pformat(a):
     """Human-readable form, terms sorted by exponent."""
     if not a:
         return "0"
@@ -179,9 +163,9 @@ def pformat(a, vars=("q", "z")):
         c = a[(qe, ze)]
         factors = []
         if qe:
-            factors.append(_var_power(vars[0], qe))
+            factors.append(_var_power("q", qe))
         if ze:
-            factors.append(_var_power(vars[1], ze))
+            factors.append(_var_power("z", ze))
         if not factors:
             body = str(abs(c))
         else:

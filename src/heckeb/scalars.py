@@ -41,7 +41,7 @@ from . import poly as P
 def _cancel(a, b):
     """(a/g, b/g, g) for g a gcd of nonzero a and b, normalized as by
     P.pgcd."""
-    mono = a if P.pis_monomial(a) else b if P.pis_monomial(b) else None
+    mono = a if len(a) == 1 else b if len(b) == 1 else None
     if mono is not None:
         # monomials are units, so only an integer can cancel:
         # gcd(3 - 3z, 3z) = 3
@@ -63,20 +63,20 @@ class RatFunc:
     def __init__(self, num, den=None):
         if den is None:
             den = P.pconst(1)
-        if P.pis_zero(den):
+        if not den:
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
         self._normalize()
 
     def _normalize(self):
-        if not P.pis_zero(self.num):
+        if self.num:
             self.num, self.den, _ = _cancel(self.num, self.den)
         self._normalize_units()
 
     def _normalize_units(self):
         """Fix the unit of a fraction whose num and den are coprime."""
-        if P.pis_zero(self.num):
+        if not self.num:
             self.den = P.pconst(1)
             return
         qe, ze = P.pminexp(self.den)
@@ -100,29 +100,21 @@ class RatFunc:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_int(c):
-        return RatFunc(P.pconst(c))
-
-    @staticmethod
     def from_poly(a):
         return RatFunc(dict(a))
-
-    @staticmethod
-    def monomial(c, qe=0, ze=0):
-        return RatFunc(P.pmono(c, qe, ze))
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return P.pis_zero(self.num)
+        return not self.num
 
     def is_one(self):
-        return P.peq(self.num, self.den)
+        return self.num == self.den
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return P.peq(self.num, other.num) and P.peq(self.den, other.den)
+        return self.num == other.num and self.den == other.den
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -136,14 +128,14 @@ class RatFunc:
         """a/b op c/d for op = P.padd or P.psub."""
         a, b, c, d = self.num, self.den, other.num, other.den
         one = P.PONE
-        if P.peq(b, d):
+        if b == d:
             g, bq, dq = b, one, one
-        elif P.peq(b, one) or P.peq(d, one):
+        elif b == one or d == one:
             g, bq, dq = one, b, d
         else:
             bq, dq, g = _cancel(b, d)
         t = op(P.pmul(a, dq), P.pmul(c, bq))
-        if P.pis_zero(t) or P.peq(g, one):
+        if not t or g == one:
             return RatFunc._reduced(t, P.pmul(bq, dq))
         # t is prime to bq and dq, so only a factor of g can cancel
         t, g, _ = _cancel(t, g)
@@ -152,11 +144,11 @@ class RatFunc:
     @staticmethod
     def _product(a, b, c, d):
         """(a/b)(c/d) for coprime pairs (a, b) and (c, d)."""
-        if P.pis_zero(a) or P.pis_zero(c):
-            return RatFunc(P.pzero())
-        if not P.peq(d, P.PONE):
+        if not a or not c:
+            return RatFunc({})
+        if d != P.PONE:
             a, d, _ = _cancel(a, d)
-        if not P.peq(b, P.PONE):
+        if b != P.PONE:
             c, b, _ = _cancel(c, b)
         return RatFunc._reduced(P.pmul(a, c), P.pmul(b, d))
 
@@ -190,7 +182,7 @@ class RatFunc:
     # -- output ---------------------------------------------------------
 
     def __str__(self):
-        if P.peq(self.den, P.pconst(1)):
+        if self.den == P.PONE:
             return P.pformat(self.num)
         return "(%s)/(%s)" % (P.pformat(self.num), P.pformat(self.den))
 
@@ -201,16 +193,16 @@ class RatFunc:
         return {"num": P.pformat(self.num), "den": P.pformat(self.den)}
 
 
-RF_ZERO = RatFunc.from_int(0)
-RF_ONE = RatFunc.from_int(1)
-
-
 def rf_int(c):
-    return RatFunc.from_int(c)
+    return RatFunc(P.pconst(c))
 
 
 def rf_mono(c, qe=0, ze=0):
-    return RatFunc.monomial(c, qe, ze)
+    return RatFunc(P.pmono(c, qe, ze))
+
+
+RF_ZERO = rf_int(0)
+RF_ONE = rf_int(1)
 
 
 def big_n():
@@ -237,7 +229,7 @@ def invmap_poly(a):
     z^b picks up N^b with N = z+1-q; negative b values are cleared by a
     common power of N in the denominator.
     """
-    if P.pis_zero(a):
+    if not a:
         return RF_ZERO
     bmin = min(ze for _, ze in a)
     shift = max(0, -bmin)
@@ -249,7 +241,7 @@ def invmap_poly(a):
     pows = [P.pconst(1)]
     for _ in range(top):
         pows.append(P.pmul(pows[-1], n))
-    num = P.pzero()
+    num = {}
     for (qe, ze), c in a.items():
         term = P.pshift(pows[ze + shift], -qe - ze, 0)
         num = P.padd(num, P.pscale(term, c))

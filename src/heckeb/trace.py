@@ -42,7 +42,6 @@ from .algebra import (
 )
 from .scalars import (
     RatFunc,
-    RF_ONE,
     RF_ZERO,
     delta_pow,
     lam_pow,
@@ -127,7 +126,7 @@ def _trace_element(el):
         groups[id(v)] = (v, c) if hit is None else (v, P.padd(hit[1], c))
     out = {}
     for v, c in groups.values():
-        if P.pis_zero(c):
+        if not c:
             continue
         for m, pv in v.items():
             prod = P.pmul(c, pv)
@@ -136,7 +135,7 @@ def _trace_element(el):
                 out[m] = prod
             else:
                 s = P.padd(cur, prod)
-                if P.pis_zero(s):
+                if not s:
                     del out[m]
                 else:
                     out[m] = s
@@ -161,10 +160,6 @@ class TraceValue:
     @staticmethod
     def zero():
         return TraceValue()
-
-    @staticmethod
-    def one():
-        return TraceValue({(): RF_ONE})
 
     def is_zero(self):
         return not self.terms
@@ -258,9 +253,10 @@ class XValue:
     """The rescaled invariant of a braid-word closure.
 
     Every coefficient is r w^parity for a fraction r and one parity bit
-    (n-1+e) mod 2 shared by all terms; terms map s-monomials to r. n and
-    e record the strand count and braiding exponent sum of the presenting
-    word. Output keeps the even + odd*w shape of the quadratic extension.
+    (n-1+e) mod 2 shared by all terms; terms is the TraceValue of the
+    fractions r. n and e record the strand count and braiding exponent sum
+    of the presenting word. Output keeps the even + odd*w shape of the
+    quadratic extension.
     """
 
     __slots__ = ("n", "e", "parity", "terms")
@@ -274,19 +270,12 @@ class XValue:
     def __eq__(self, other):
         if not isinstance(other, XValue):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            if self.terms.get(k, RF_ZERO) != other.terms.get(k, RF_ZERO):
-                return False
-        return self.parity == other.parity or self.is_zero()
+        # zero has no parity
+        return self.terms == other.terms and (
+            self.parity == other.parity or self.terms.is_zero()
+        )
 
     __hash__ = None
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.terms.values())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (mono_level(kv[0]), kv[0]))
 
     def _coeff_str(self, c):
         return "(%s) * w" % c if self.parity else str(c)
@@ -297,7 +286,7 @@ class XValue:
         return {"even": zero, "odd": c} if self.parity else {"even": c, "odd": zero}
 
     def __str__(self):
-        live = [(m, c) for m, c in self.sorted_terms() if not c.is_zero()]
+        live = [(m, c) for m, c in self.terms.sorted_terms() if not c.is_zero()]
         if not live:
             return "0"
         return " + ".join(
@@ -310,7 +299,7 @@ class XValue:
             "e": self.e,
             "terms": [
                 {"mono": mono_str(m), "coeff": self._coeff_json(c)}
-                for m, c in self.sorted_terms()
+                for m, c in self.terms.sorted_terms()
             ],
         }
 
@@ -324,8 +313,7 @@ def invariant_x(word):
     """The invariant of the closure of a braid word."""
     e = sigma_exponent_sum(word)
     scalar, _ = delta_pow(word.n - 1, e)
-    tv = trace_of_word(word)
-    return XValue(word.n, e, {m: c * scalar for m, c in tv.terms.items()})
+    return XValue(word.n, e, trace_of_word(word).scale(scalar))
 
 
 # -- the variable flip --------------------------------------------------------

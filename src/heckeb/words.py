@@ -195,10 +195,6 @@ class LoopMonomial:
         return sum(e for _, e in self.entries)
 
     @property
-    def abs_level(self):
-        return sum(abs(e) for _, e in self.entries)
-
-    @property
     def top_index(self):
         return self.entries[-1][0] if self.entries else -1
 
@@ -206,12 +202,11 @@ class LoopMonomial:
     def gap_free(self):
         return all(idx == pos for pos, (idx, _) in enumerate(self.entries))
 
-    def as_word(self, n=None):
+    def as_word(self):
+        """The word of the monomial on the fewest strands that hold it."""
         kind = "ploop" if self.primed else "loop"
         letters = tuple((kind, i, e) for i, e in self.entries)
-        if n is None:
-            n = max(1, self.top_index + 1)
-        return MixedBraidWord(n, letters)
+        return MixedBraidWord(max(1, self.top_index + 1), letters)
 
     def flip(self):
         """Exponent-flip involution (matches f_map_word on the word)."""
@@ -266,56 +261,27 @@ def bbm_image(m, sign, p):
 # -- the total order on loop monomials ----------------------------------
 
 
-def _profile(m):
-    if isinstance(m, LoopMonomial):
-        return tuple(i for i, _ in m.entries), tuple(e for _, e in m.entries)
-    return m  # already an (indices, exps) pair
-
-
-def compare_order(a, b):
-    """Total order on loop monomials; returns -1, 0, or 1.
+def order_key(entries):
+    """Sort key of the total order on loop monomials, given by their loop
+    entries ((index, exp), ...), as in LoopMonomial.entries.
 
     Smaller exponent sum first; then fewer loop generators (gaps closed);
     with matching shapes a smaller index at the first disagreement makes
     the *larger* word, and exponents are compared from the top index down,
     first by absolute value, then positive-beats-negative as smaller.
     """
-    ia, ka = _profile(a)
-    ib, kb = _profile(b)
-    ta, tb = sum(ka), sum(kb)
-    if ta != tb:
-        return -1 if ta < tb else 1
-    inda = max(len(ia) - 1, 0)
-    indb = max(len(ib) - 1, 0)
-    if inda != indb:
-        return -1 if inda < indb else 1
-    if len(ia) != len(ib):
-        # only reachable shapes: the empty word against a single loop
-        # generator, which cannot tie on exponent sum
-        return -1 if len(ia) < len(ib) else 1
-    for s in range(len(ia)):
-        if ia[s] != ib[s]:
-            return 1 if ia[s] < ib[s] else -1
-    for s in range(len(ia) - 1, -1, -1):
-        x, y = ka[s], kb[s]
-        if x == y:
-            continue
-        if abs(x) != abs(y):
-            return -1 if abs(x) < abs(y) else 1
-        return -1 if x > y else 1
-    return 0
-
-
-def order_key(m):
-    """A tuple sort key equivalent to compare_order (for deterministic output)."""
-    idx, exps = _profile(m)
     return (
-        sum(exps),
-        max(len(idx) - 1, 0),
-        len(idx),
-        tuple(-i for i in idx),
-        tuple((abs(x), -x) for x in reversed(exps)),
+        sum(e for _, e in entries),
+        len(entries),
+        tuple(-i for i, _ in entries),
+        tuple((abs(e), -e) for _, e in reversed(entries)),
     )
+
+
+def compare_order(a, b):
+    """-1, 0 or 1 as loop monomial a is below, equal to or above b."""
+    ka, kb = order_key(a.entries), order_key(b.entries)
+    return (ka > kb) - (ka < kb)
 
 
 # -- enumeration by level ------------------------------------------------

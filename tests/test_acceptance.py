@@ -77,7 +77,7 @@ def test_c04_closed_form_trace():
     count = 0
     for m in enumerate_abs_level(5, 4, primed=True):
         expect = TraceValue({tuple(sorted(e for _, e in m.entries)): RF_ONE})
-        assert trace_of_word(m.as_word(n=4)) == expect, str(m)
+        assert trace_of_word(m.as_word().with_strands(4)) == expect, str(m)
         count += 1
     assert count == 68  # the full ordered enumeration at this size
     assert time.monotonic() - t0 < 30

@@ -151,6 +151,28 @@ def test_experiment_text(capsys):
     assert "  undecided at this truncation: s[1]s[1]" in lines
 
 
+@pytest.mark.parametrize("probe", ["0", "-1"])
+def test_experiment_rejects_probe_that_checks_nothing(capsys, probe):
+    # probe < 1 would print checked=0 and closed=0/0 and exit 0
+    code, out, err = run(capsys, "experiment", "--p", "2", "--probe", probe, "--k-max", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: probe level %s checks nothing" % probe), err
+
+
+def test_loop_exponent_limit_exits_1(capsys):
+    # t1'^K t swaps t1'^K past the axis through t1^K, built one unit of K
+    # at a time; |K| = 64 is the largest accepted
+    code, out, _ = run(capsys, "normalize", "t1'^64 t")
+    assert code == 0
+    assert out.startswith("(q^-1 - 1) * t1'^65 g1 + ")
+    for cmd, word in (("normalize", "t1'^65 t"), ("normalize", "t1'^-3000 t"), ("trace", "t1'^1200 t")):
+        code, out, err = run(capsys, cmd, word)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: loop exponent ") and "64" in err, err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lemma4", "--p", "2", "--k", "2")
     assert code == 0

@@ -1,9 +1,12 @@
-"""The package root: importing it loads no module, and each module is
-reached under its own name."""
+"""The package root: importing it loads no module, each module is
+reached under its own name, and every public name has a caller."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -28,3 +31,44 @@ def test_root_import_loads_no_module():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each public top-level function or class
+    and each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def _referenced_names(node):
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+    return out
+
+
+def test_every_public_name_has_a_caller_in_src_or_perfbench():
+    # a public name that only tests call is dead code with a test around it
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "heckeb").glob("*.py"))}
+    perfbench = "\n".join(
+        path.read_text() for path in sorted((SRC.parent / "perfbench").glob("*.py"))
+    )
+    counts = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    dead = []
+    for mod, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            name = node.name
+            if counts[name] > _referenced_names(node).count(name):
+                continue
+            if re.search(r"\b%s\b" % re.escape(name), perfbench):
+                continue
+            dead.append("%s.%s" % (mod, qualname))
+    assert not dead, dead

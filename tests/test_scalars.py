@@ -2,7 +2,7 @@
 
 import random
 
-from heckeb.poly import pconst, peq, pmul
+from heckeb.poly import pconst, pmul
 from heckeb.scalars import (
     RF_ONE,
     RF_ZERO,
@@ -199,8 +199,5 @@ def test_poly_backend_agrees_with_field_mul():
         a = rand_rf(rng)
         b = rand_rf(rng)
         prod = a * b
-        assert peq(
-            pmul(prod.num, pmul(a.den, b.den)),
-            pmul(prod.den, pmul(a.num, b.num)),
-        )
+        assert pmul(prod.num, pmul(a.den, b.den)) == pmul(prod.den, pmul(a.num, b.num))
         assert pmul(pconst(1), prod.den) == prod.den

@@ -8,7 +8,7 @@ import pytest
 
 from heckeb.algebra import project_braid, rmul_sigma
 from heckeb.lens import generate_system
-from heckeb.poly import pmul, ppow
+from heckeb.poly import pconst, pmul, ppow
 from heckeb.scalars import (
     RF_ONE,
     RF_ZERO,
@@ -138,7 +138,6 @@ def test_trace_value_arithmetic():
     c.add_term((1,), Q)
     c.add_term((1,), -Q)
     assert c.is_zero() and c == TraceValue.zero()
-    assert TraceValue.one() == TraceValue({(): RF_ONE})
 
 
 def test_conjugation_invariance():
@@ -238,11 +237,7 @@ def test_bbm_equation_cross_check_runs():
                     c_src, parity = closure_scalar(word_src)
                     assert x_src.parity == x_img.parity == parity
                     diff = eq.residual()
-                    keys = set(diff.terms) | set(x_src.terms) | set(x_img.terms)
-                    for k in keys:
-                        want = c_src * diff.coeff(k)
-                        got = x_src.terms.get(k, RF_ZERO) - x_img.terms.get(k, RF_ZERO)
-                        assert want == got, (str(m), sign, p, k)
+                    assert diff.scale(c_src) == x_src.terms.sub(x_img.terms), (str(m), sign, p)
 
 
 def test_bbm_equation_rejects_wrong_coefficient(monkeypatch):
@@ -383,14 +378,14 @@ def test_invariant_x_recorded_output():
 
 def test_xvalue_equality_compares_parity():
     terms = {(1,): lam(), (): Q}
-    even, odd = XValue(2, 1, dict(terms)), XValue(2, 0, dict(terms))
+    even, odd = XValue(2, 1, TraceValue(dict(terms))), XValue(2, 0, TraceValue(dict(terms)))
     assert (even.parity, odd.parity) == (0, 1)
     assert even != odd
-    assert even == XValue(3, 0, dict(terms))
-    assert odd == XValue(1, 1, dict(terms))
+    assert even == XValue(3, 0, TraceValue(dict(terms)))
+    assert odd == XValue(1, 1, TraceValue(dict(terms)))
     # explicit zero coefficients do not count, and zero has no parity
-    assert even == XValue(2, 1, {**terms, (5,): RF_ZERO})
-    assert XValue(2, 0, {}) == XValue(2, 1, {(1,): RF_ZERO})
+    assert even == XValue(2, 1, TraceValue({**terms, (5,): RF_ZERO}))
+    assert XValue(2, 0, TraceValue()) == XValue(2, 1, TraceValue({(1,): RF_ZERO}))
 
 
 def _slow_trace(el):
@@ -409,7 +404,8 @@ def test_trace_matches_per_term_sum_on_random_elements():
         el = project_braid(rand_word(rng, n, rng.randrange(0, 6)))
         # a difference of two elements makes coefficients cancel
         other = project_braid(rand_word(rng, n, rng.randrange(0, 4)))
-        for x in (el, el.add(other), el.sub(other), el.sub(el)):
+        minus = other.scale(pconst(-1))
+        for x in (el, el.add(other), el.add(minus), other.add(minus)):
             assert trace(x) == _slow_trace(x)
 
 

@@ -114,7 +114,7 @@ def test_loop_monomial_shape():
     m = LoopMonomial(((0, 1), (2, 2)), primed=False)
     assert m.top_index == 2
     assert not m.gap_free
-    assert m.abs_level == 3 and m.level == 3
+    assert m.level == 3
     assert LoopMonomial(((0, 1), (1, 2))).gap_free
     assert LoopMonomial(((0, 1), (1, -2))).flip().entries == ((0, -1), (1, 2))
     assert LoopMonomial(()).top_index == -1
@@ -127,8 +127,10 @@ def test_as_word_strands():
     assert w.n == 2
     # the index-0 letter is the axis itself, spelled t in both families
     assert w.letters == (("loop", 0, 2), ("ploop", 1, 1))
-    assert m.as_word(n=4).n == 4
     assert str(m) == "t^2 t1'"
+    # the fewest strands that hold the top index
+    assert LoopMonomial(((2, -1),)).as_word().n == 3
+    assert LoopMonomial(()).as_word().n == 1
 
 
 def test_enumerate_level_counts():
@@ -176,7 +178,7 @@ def test_enumerate_abs_level():
         ((0, 1), (1, 1)),
     }
     for m in out:
-        assert m.abs_level <= 2 and m.top_index <= 1
+        assert sum(abs(e) for _, e in m.entries) <= 2 and m.top_index <= 1
         assert m.gap_free
         assert m.primed
     plain = enumerate_abs_level(2, 2, primed=False)
@@ -208,10 +210,45 @@ def test_compare_order_examples():
 
 def test_order_key_total_on_level():
     pool = enumerate_level(4, "+")
-    ranked = sorted(pool, key=order_key)
+    ranked = sorted(pool, key=lambda m: order_key(m.entries))
     for i in range(len(ranked) - 1):
         assert compare_order(ranked[i], ranked[i + 1]) < 0
         assert compare_order(ranked[i + 1], ranked[i]) > 0
+
+
+def _stepwise_compare_order(a, b):
+    """The total order on loop entries ((index, exp), ...) decided one rule
+    at a time; the reference that order_key is checked against."""
+    ia, ka = [i for i, _ in a], [e for _, e in a]
+    ib, kb = [i for i, _ in b], [e for _, e in b]
+    ta, tb = sum(ka), sum(kb)
+    if ta != tb:
+        return -1 if ta < tb else 1
+    inda = max(len(ia) - 1, 0)
+    indb = max(len(ib) - 1, 0)
+    if inda != indb:
+        return -1 if inda < indb else 1
+    if len(ia) != len(ib):
+        # only reachable shapes: the empty word against a single loop
+        # generator, which cannot tie on exponent sum
+        return -1 if len(ia) < len(ib) else 1
+    for s in range(len(ia)):
+        if ia[s] != ib[s]:
+            return 1 if ia[s] < ib[s] else -1
+    for s in range(len(ia) - 1, -1, -1):
+        x, y = ka[s], kb[s]
+        if x == y:
+            continue
+        if abs(x) != abs(y):
+            return -1 if abs(x) < abs(y) else 1
+        return -1 if x > y else 1
+    return 0
+
+
+def _assert_key_matches_reference(a, b):
+    ka, kb = order_key(a), order_key(b)
+    assert _stepwise_compare_order(a, b) == (ka > kb) - (ka < kb), (a, b)
+    assert compare_order(LoopMonomial(a), LoopMonomial(b)) == (ka > kb) - (ka < kb)
 
 
 def test_order_key_matches_compare_order_on_random_pairs():
@@ -219,16 +256,18 @@ def test_order_key_matches_compare_order_on_random_pairs():
     # exponent sums, index sets and absolute exponents often tie
     rng = random.Random(31)
 
-    def rand_profile():
-        idx = tuple(sorted(rng.sample(range(4), rng.randrange(0, 4))))
-        return idx, tuple(rng.choice([-2, -1, 1, 2]) for _ in idx)
+    def rand_entries():
+        idx = sorted(rng.sample(range(4), rng.randrange(0, 4)))
+        return tuple((i, rng.choice([-2, -1, 1, 2])) for i in idx)
 
     for _ in range(3000):
-        a, b = rand_profile(), rand_profile()
-        ka, kb = order_key(a), order_key(b)
-        assert compare_order(a, b) == (ka > kb) - (ka < kb), (a, b)
-        ma = LoopMonomial(tuple(zip(*a)))
-        assert order_key(ma) == ka
+        _assert_key_matches_reference(rand_entries(), rand_entries())
+    # the one length mismatch at equal top position: the empty word
+    # against a single generator, both ways round
+    for i in range(4):
+        for e in (-2, -1, 1, 2):
+            _assert_key_matches_reference((), ((i, e),))
+            _assert_key_matches_reference(((i, e),), ())
 
 
 def test_bbm_image_shape():
