@@ -115,6 +115,26 @@ _unprime_cache = {}
 # |K| <= 3, and the verify suites |K| <= 10.
 LOOP_EXP_MAX = 64
 
+# A braiding power gi^k is |k| one-letter passes over coefficients that
+# grow to |k| terms, so its cost is quadratic in k (cold `heckeb normalize
+# g1^2500 --n 2`: 1.5 s on a 2-vCPU VM); a larger |k| is a WordError.
+BRAID_EXP_MAX = 2500
+
+# A commuting loop power tj^e (j >= 2) is |e| rounds of 2j+1 letter passes
+# over an element that grows with both j and |e|, and faster for e < 0,
+# where every inverse braiding splits a term in two. LOOP_POWER_MAX[j] is
+# the largest (e > 0, e < 0) pair of |e| accepted; a larger |e| is a
+# WordError. At each limit a cold `heckeb normalize` takes at most about
+# 2.5 s on a 2-vCPU VM (t2^20 1.7 s, t4^6 1.8 s, t8^3 2.4 s, t14^2 1.3 s,
+# t3^-7 1.5 s, t5^-3 2.3 s, t8^-1 1.4 s), except t4^-5 at 3.1 s, which
+# the verify suite lemma3 needs at its default k = 5. The cost above a
+# limit climbs steeply (t2^33 13 s, t7^4 16 s, t9^-1 4.3 s, t7^-2 21 s).
+# t1^e is bounded by LOOP_EXP_MAX. Band move equations of negative sources are
+# traced through the exponent flip, so lens jobs multiply positive loop
+# powers only.
+LOOP_POWER_MAX = (None, None, (20, 16), (9, 7), (6, 5), (4, 3), (3, 2), (3, 1),
+                  (3, 1)) + ((2, 0),) * 6 + ((1, 0),)
+
 
 def _acc(out, key, c):
     """Add the coefficient c into out[key], dropping the key at zero."""
@@ -423,6 +443,13 @@ def rmul_loop(el, j, e):
     """Right multiply by the commuting loop letter tj^e."""
     if j == 0:
         return rmul_axis(el, e)
+    if j >= 2:
+        most = LOOP_POWER_MAX[j][e < 0]
+        if abs(e) > most:
+            raise WordError(
+                "loop power t%d^%d; |exponent| <= %d for %s powers of t%d"
+                % (j, e, most, "inverse" if e < 0 else "positive", j)
+            )
     sgn = 1 if e > 0 else -1
     cur = el
     for _ in range(abs(e)):
@@ -436,6 +463,10 @@ def rmul_loop(el, j, e):
 
 def rmul_letter(el, kind, idx, exp):
     if kind == "sigma":
+        if abs(exp) > BRAID_EXP_MAX:
+            raise WordError(
+                "braiding power g%d^%d; |exponent| <= %d" % (idx, exp, BRAID_EXP_MAX)
+            )
         sgn = 1 if exp > 0 else -1
         cur = el
         for _ in range(abs(exp)):

@@ -8,8 +8,10 @@ by default and JSON with --format json; both are deterministic for fixed
 flags and seed.
 
 Exit codes: 0 on success, 1 on domain errors (parse failures, map domain
-violations, bad ranges), 2 when a verification suite fails (the first
-counterexample is printed).
+violations, bad ranges, an unknown suite name), 2 when a verification
+suite fails (the first counterexample is printed). The lens and verify
+modules are imported by the commands that use them, so the word commands
+do not load them.
 """
 
 from __future__ import annotations
@@ -19,15 +21,7 @@ import json
 import sys
 
 from .algebra import project_braid
-from .lens import (
-    candidate_basis_experiment,
-    check_generating_set,
-    compare_mirror,
-    generate_system,
-    reduce_system,
-)
 from .trace import TraceDomainError, invariant_x, map_I, trace_of_word
-from .verify import DEFAULT_SEED, SUITES, run_suite
 from .words import (
     WordError,
     bbm_image,
@@ -137,6 +131,8 @@ def _bundle_text(bundle):
 
 
 def _cmd_gen_system(args):
+    from .lens import generate_system
+
     bundle = generate_system(args.p, args.k_max, args.side)
     _emit(args, lambda: _bundle_text(bundle), bundle.to_json())
     return 0
@@ -158,6 +154,8 @@ def _reduced_text(r):
 
 
 def _cmd_reduce(args):
+    from .lens import generate_system, reduce_system
+
     r = reduce_system(generate_system(args.p, args.k_max, "+"))
     _emit(args, lambda: _reduced_text(r), r.to_json())
     return 0
@@ -182,6 +180,8 @@ def _mirror_text(rep):
 
 
 def _cmd_mirror(args):
+    from .lens import compare_mirror
+
     rep = compare_mirror(args.p, args.k_max)
     _emit(args, lambda: _mirror_text(rep), rep)
     return 0
@@ -212,6 +212,13 @@ def _experiment_text(gen, win):
 
 
 def _cmd_experiment(args):
+    from .lens import (
+        candidate_basis_experiment,
+        check_generating_set,
+        generate_system,
+        reduce_system,
+    )
+
     k_max = args.k_max if args.k_max is not None else args.probe
     r = reduce_system(generate_system(args.p, k_max, "+"))
     gen = check_generating_set(r, args.probe)
@@ -239,6 +246,12 @@ def _suite_text(rep):
 
 
 def _cmd_verify(args):
+    from .verify import SUITES, run_suite
+
+    if args.suite is not None and args.suite not in SUITES:
+        raise ValueError(
+            "unknown suite %r; choose from %s" % (args.suite, ", ".join(SUITES))
+        )
     params = {
         "n": args.n,
         "samples": args.samples,
@@ -325,10 +338,10 @@ def build_parser():
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", parents=[fmt], help="run verification suites")
-    p.add_argument("--suite", choices=sorted(SUITES), default=None, help="one suite (default: all)")
+    p.add_argument("--suite", default=None, help="one suite by name (default: all)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None, help="seed of the randomized suites")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)

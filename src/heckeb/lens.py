@@ -5,7 +5,10 @@ A band move with modulus p turns a loop monomial tau into t^p tau_+ s_1^e
 bbm_equation. generate_system collects those identities for every source
 of weighted level 0..k_max on one side of the exponent sign split, both
 signs of a source at once through bbm_equation_pair, which traces the
-source once and projects the stem t^p tau_+ of the two images once.
+source once and projects the stem t^p tau_+ of the two images once. On
+the negative side both are traced through the exponent flip f and mapped
+back with Phi (trace.map_flip): the flipped source is a positive source,
+and the flipped stem t^-p f(tau_+) has only positive loops.
 compare_mirror pushes the negative-side bundle through the
 index/coefficient flip map and diffs it against the positive side, and
 reduce_system runs exact Gaussian elimination over the

@@ -20,11 +20,15 @@ With m = n-1+e, a = floor(m/2) and N = z+1-q, c(w) is the fraction
 N^(a-(n-1)) q^((n-1)-a) z^(-a) times w^(m mod 2), so an XValue is a
 parity bit and rational-function terms. map_I is the variable flip
 q -> q^{-1}, z -> lam z extended to s-indices for a modulus p, and
-bbm_equation assembles the trace identity a band
-move imposes, checking that its coefficient is the ratio of the two
-closure scalars. bbm_equation_pair assembles both signs of one source
-from one trace of the source and one projection of the shared stem of
-the two image words.
+map_flip (Phi) extends it by s_j -> s_{-j}. bbm_equation assembles the
+trace identity a band move imposes, checking that its coefficient is the
+ratio of the two closure scalars. bbm_equation_pair assembles both signs
+of one source from one trace of the source and one projection of the
+shared stem of the two image words. A source of negative level is traced
+through the exponent flip f (words.f_map_word), as tr(w) = Phi(tr(f(w))).
+The identity is checked, by the verify suite flip, on words in g_i, t and
+t_i, but not proved; f_map_word is not the algebra map on primed letters
+t_i', and the identity is not claimed for them.
 """
 
 from __future__ import annotations
@@ -48,7 +52,14 @@ from .scalars import (
     rf_invmap,
     rf_mono,
 )
-from .words import LoopMonomial, MixedBraidWord, WordError, bbm_image, sigma_exponent_sum
+from .words import (
+    LoopMonomial,
+    MixedBraidWord,
+    WordError,
+    bbm_image,
+    f_map_word,
+    sigma_exponent_sum,
+)
 
 
 class TraceDomainError(ValueError):
@@ -329,17 +340,31 @@ def map_index(j, p):
     raise TraceDomainError("s-index %d above modulus p=%d" % (j, p))
 
 
+def _map_terms(tv, index):
+    """q -> q^{-1}, z -> lam z on the coefficients, s_j -> s_index(j)."""
+    out = TraceValue.zero()
+    for m, c in tv.terms.items():
+        out.add_term(tuple(sorted(index(j) for j in m)), rf_invmap(c))
+    return out
+
+
 def map_I(tv, p):
     """q -> q^{-1}, z -> lam z, s_{-j} -> s_j, s_{p-i} -> s_{p+i} (0<=i<p).
 
     Positive indices above p are outside the domain and raise
     TraceDomainError. s_0 never occurs (it is the empty factor 1).
     """
-    out = TraceValue.zero()
-    for m, c in tv.terms.items():
-        nm = tuple(sorted(map_index(j, p) for j in m))
-        out.add_term(nm, rf_invmap(c))
-    return out
+    return _map_terms(tv, lambda j: map_index(j, p))
+
+
+def map_flip(tv):
+    """Phi: q -> q^{-1}, z -> lam z, s_j -> s_{-j}, an involution.
+
+    tr(f(w)) = Phi(tr(w)) for f = words.f_map_word on words in g_i, t and
+    t_i (verify suite flip). It is not claimed for primed letters t_i',
+    which f_map_word sends to t_i'^{-1}, not to their algebra image.
+    """
+    return _map_terms(tv, lambda j: -j)
 
 
 # -- band move equations -------------------------------------------------------
@@ -392,14 +417,26 @@ def _bbm_equations(m, signs, p):
     The images t^p tau_+ g1^sign differ only in their last letter, so the
     stem t^p tau_+ is projected once and each image is the stem times
     g1^sign. The source is traced once; each equation gets its own copy.
+
+    A source of negative level is traced through the exponent flip f, as
+    tr(w) = Phi(tr(f(w))) with Phi = map_flip: f(source) is a positive
+    source, and the flipped stem t^-p f(tau_+) has only positive loops.
+    The stem itself carries letters t_j^-1, which split every inverse
+    braiding they pass into two terms.
     """
     if not isinstance(m, LoopMonomial):
         raise WordError("expected a loop monomial")
     images = [bbm_image(m, sign, p) for sign in signs]
     word_src = m.as_word()
     c_src, par_src = closure_scalar(word_src)
-    lhs = trace_of_word(word_src)
-    stem = project_braid(MixedBraidWord(images[0].n, images[0].letters[:-1]))
+    stem_word = MixedBraidWord(images[0].n, images[0].letters[:-1])
+    flip = m.level < 0
+    if flip:
+        lhs = map_flip(trace_of_word(f_map_word(word_src)))
+        stem = project_braid(f_map_word(stem_word))
+    else:
+        lhs = trace_of_word(word_src)
+        stem = project_braid(stem_word)
     out = []
     for sign, word_img in zip(signs, images):
         coeff = bbm_coefficient(m.level, sign)
@@ -409,6 +446,10 @@ def _bbm_equations(m, signs, p):
                 "band move coefficient %s is not the closure-scalar ratio for %s"
                 % (coeff, m)
             )
+        if flip:
+            rhs = map_flip(trace(rmul_sigma(stem, 1, -sign)))
+        else:
+            rhs = trace(rmul_sigma(stem, 1, sign))
         out.append(
             Equation(
                 source=m,
@@ -417,7 +458,7 @@ def _bbm_equations(m, signs, p):
                 level=m.level,
                 coeff=coeff,
                 lhs=TraceValue(dict(lhs.terms)),
-                rhs=trace(rmul_sigma(stem, 1, sign)).scale(coeff),
+                rhs=rhs.scale(coeff),
             )
         )
     return out

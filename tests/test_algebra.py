@@ -8,7 +8,7 @@ import pytest
 
 from heckeb import algebra as A
 from heckeb import poly as P
-from heckeb.words import WordError, parse_word
+from heckeb.words import WordError, bbm_image, enumerate_level, parse_word
 
 ONE_M_QI = {(0, 0): 1, (-1, 0): -1}
 Q_M1 = {(1, 0): 1, (0, 0): -1}  # q - 1
@@ -127,6 +127,42 @@ def test_unprime_loop_exponent_limit():
         with pytest.raises(WordError):
             A.unprime_loop(K)
         assert A._unprime_cache == cached
+
+
+def test_braiding_power_limit():
+    # gi^k stays two terms, T_1 and gi, with coefficients of up to |k|
+    # terms; the largest |k| is built, one more is refused
+    el = A.rmul_letter(A.AlgebraElement.one(2), "sigma", 1, A.BRAID_EXP_MAX)
+    assert sorted(perm for _, perm in el.terms) == [(0, 1), (1, 0)]
+    assert max(len(c) for c in el.terms.values()) == A.BRAID_EXP_MAX
+    for k in (A.BRAID_EXP_MAX + 1, -A.BRAID_EXP_MAX - 1):
+        with pytest.raises(WordError, match="braiding power"):
+            A.rmul_letter(A.AlgebraElement.one(3), "sigma", 2, k)
+
+
+def test_loop_power_limit():
+    # LOOP_POWER_MAX[j] bounds |e| of tj^e for j >= 2, separately for
+    # positive and inverse powers; each word at a limit is built, one
+    # more unit of |e| is refused
+    assert len(A.LOOP_POWER_MAX) == 16  # t15 is the last loop on 16 strands
+    for j, e in ((10, 2), (7, -1)):
+        assert abs(e) == A.LOOP_POWER_MAX[j][e < 0]
+        A.project_braid(parse_word("t%d^%d" % (j, e)))
+    for text in ("t2^21", "t2^-17", "t10^3", "t7^-2", "t9^-1", "t15^-1"):
+        with pytest.raises(WordError, match="loop power"):
+            A.project_braid(parse_word(text))
+
+
+def test_band_move_words_within_loop_power_limit():
+    # lens jobs multiply positive loop powers only (negative sources are
+    # traced through the exponent flip); every source and image of level
+    # <= 8 is within the limits
+    for level in range(9):
+        for m in enumerate_level(level, "+"):
+            for w in (m.as_word(), bbm_image(m, 1, 2)):
+                for kind, j, e in w.letters:
+                    if kind == "loop" and j >= 2:
+                        assert e <= A.LOOP_POWER_MAX[j][0], str(w)
 
 
 def test_swap_loops_solve_the_commutation():

@@ -267,6 +267,25 @@ def test_reduce_rejects_negative_side(capsys):
     assert exc.value.code == 2
 
 
+def test_power_limits_exit_1(capsys):
+    # a braiding power is |k| letter passes and a loop power |e| rounds,
+    # so both are bounded (algebra.BRAID_EXP_MAX, algebra.LOOP_POWER_MAX)
+    for word, msg in (
+        ("g1^99999", "braiding power g1^99999; |exponent| <= 2500"),
+        ("g1^-2501", "braiding power g1^-2501; |exponent| <= 2500"),
+        ("t2^33", "loop power t2^33; |exponent| <= 20 for positive powers of t2"),
+        ("t g1 t3^-8", "loop power t3^-8; |exponent| <= 7 for inverse powers of t3"),
+    ):
+        code, out, err = run(capsys, "normalize", word, "--n", "4")
+        assert (code, out, err) == (1, "", "error: %s\n" % msg)
+
+
+def test_verify_unknown_suite_exits_1(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown suite 'nope'; choose from ") and "flip" in err
+
+
 def test_strand_limit_exits_1(capsys):
     code, out, err = run(capsys, "normalize", "1", "--n", "17")
     assert code == 1

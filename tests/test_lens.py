@@ -1,7 +1,11 @@
 """Relation systems at modulus p: generation, mirroring, reduction."""
 
+import json
+import time
+
 import pytest
 
+from heckeb.algebra import project_braid
 from heckeb.lens import (
     back_substitution_check,
     candidate_basis_experiment,
@@ -13,7 +17,14 @@ from heckeb.lens import (
     reduce_value,
 )
 from heckeb.scalars import RF_ONE, rf_mono, rf_z
-from heckeb.trace import TraceValue, bbm_equation, trace_of_word
+from heckeb.trace import (
+    Equation,
+    TraceValue,
+    bbm_coefficient,
+    bbm_equation,
+    trace,
+    trace_of_word,
+)
 from heckeb.words import bbm_image, enumerate_level
 
 Q = rf_mono(1, 1, 0)
@@ -39,16 +50,64 @@ def test_generate_system_shape():
 def test_generate_system_matches_single_sign_equations():
     # generate_system traces each source once and projects the shared
     # image stem once; each equation must equal the per-sign
-    # bbm_equation and the re-derivation from its two words
+    # bbm_equation, and on the positive side the re-derivation from its
+    # two words (the negative side is checked below)
     for p in (1, 2, 3, 4):
         for side in ("+", "-"):
             for e in generate_system(p, 3, side).equations:
                 ref = bbm_equation(e.source, e.sign, p)
                 assert e.lhs == ref.lhs and e.rhs == ref.rhs, (p, side, str(e.source))
                 assert e.coeff == ref.coeff and e.level == ref.level
-                assert e.lhs == trace_of_word(e.source.as_word())
-                img = trace_of_word(bbm_image(e.source, e.sign, p))
-                assert e.rhs == img.scale(e.coeff)
+                if side == "+":
+                    assert e.lhs == trace_of_word(e.source.as_word())
+                    img = trace_of_word(bbm_image(e.source, e.sign, p))
+                    assert e.rhs == img.scale(e.coeff)
+
+
+def _direct_negative_equation(m, sign, p):
+    """The band move equation of m traced without the exponent flip: the
+    source and the projected image t^p tau_+ g1^sign themselves."""
+    coeff = bbm_coefficient(m.level, sign)
+    return Equation(
+        source=m,
+        sign=sign,
+        p=p,
+        level=m.level,
+        coeff=coeff,
+        lhs=trace_of_word(m.as_word()),
+        rhs=trace(project_braid(bbm_image(m, sign, p))).scale(coeff),
+    )
+
+
+def test_negative_equations_match_the_direct_trace():
+    # negative sources are traced as Phi(tr(f(w))); the slow reference
+    # traces the words with their inverse loops
+    for p in (1, 2, 3, 4):
+        for k in range(4):
+            eqs = generate_system(p, k, "-").equations
+            want = [
+                _direct_negative_equation(m, sign, p)
+                for lvl in range(0, -k - 1, -1)
+                for m in enumerate_level(lvl, "-")
+                for sign in (1, -1)
+            ]
+            assert len(eqs) == len(want)
+            for got, ref in zip(eqs, want):
+                for field in ("source", "sign", "p", "level", "coeff", "lhs", "rhs"):
+                    assert getattr(got, field) == getattr(ref, field), (p, k, str(ref.source), field)
+                assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
+
+
+def test_mirror_boundary_at_k_max_5():
+    # the k_max=5 negative bundle is affordable through the exponent flip
+    # (about 9 s before it, 1.2 s after on a 2-vCPU VM)
+    t0 = time.monotonic()
+    rep = compare_mirror(2, 5)
+    assert rep["exact_below_p"] is True
+    assert rep["mismatch_levels"] == [2, 3, 4, 5]
+    assert rep["expected_mismatch_levels"] == [2, 3, 4, 5]
+    assert len(rep["entries"]) == 2 * (1 + sum(2 ** (k - 1) for k in range(1, 6)))
+    assert time.monotonic() - t0 < 10
 
 
 def test_generate_system_negative_side():

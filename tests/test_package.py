@@ -33,6 +33,28 @@ def test_root_import_loads_no_module():
     assert proc.returncode == 0, proc.stderr
 
 
+CLI_PROBE = """
+import contextlib, io, sys
+from heckeb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["normalize", "t1 g1^-1", "--format", "json"]) == 0
+loaded = {"heckeb.lens", "heckeb.verify"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_normalize_command_loads_no_lens_or_verify():
+    # the commands that need lens or verify import them when they run
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _public_definitions(tree):
     """(qualified name, node) for each public top-level function or class
     and each public method of a top-level class."""

@@ -24,6 +24,7 @@ SMALL = {
     "lemma4": {"p": 2, "k": 2},
     "theorem9": {"p": 2, "k": 2},
     "prop2": {"p": 2, "k": 2},
+    "flip": {"n": 3, "samples": 20, "seed": 5, "p": 2, "k": 2},
     "grading": {"p": 2, "k": 3},
     "triangular": {"n": 3, "k": 3},
 }
@@ -71,6 +72,16 @@ def test_every_suite_passes_small():
     reports = [run_suite(name, n=3, samples=15, k=2, p=2, seed=3) for name in SUITES]
     assert [r["suite"] for r in reports] == list(SUITES)
     assert all(r["passed"] for r in reports)
+
+
+def test_flip_suite_checks_words_and_band_move_images():
+    # 150 seeded words and the 2 * (1 + 1 + 2 + 4) images at levels 0..3
+    # for each of p = 2, 3, 4
+    rep = run_suite("flip")
+    assert rep["passed"] and rep["checked"] == 150 + 3 * 16
+    assert rep["notes"]
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        run_suite("flip", n=1)
 
 
 def test_relations_guard():
