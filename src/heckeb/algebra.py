@@ -120,7 +120,7 @@ LOOP_EXP_MAX = 64
 # g1^2500 --n 2`: 1.5 s on a 2-vCPU VM); a larger |k| is a WordError.
 BRAID_EXP_MAX = 2500
 
-# A commuting loop power tj^e (j >= 2) is |e| rounds of 2j+1 letter passes
+# A commuting loop power tj^e (j >= 1) is |e| rounds of 2j+1 letter passes
 # over an element that grows with both j and |e|, and faster for e < 0,
 # where every inverse braiding splits a term in two. LOOP_POWER_MAX[j] is
 # the largest (e > 0, e < 0) pair of |e| accepted; a larger |e| is a
@@ -129,11 +129,12 @@ BRAID_EXP_MAX = 2500
 # t3^-7 1.5 s, t5^-3 2.3 s, t8^-1 1.4 s), except t4^-5 at 3.1 s, which
 # the verify suite lemma3 needs at its default k = 5. The cost above a
 # limit climbs steeply (t2^33 13 s, t7^4 16 s, t9^-1 4.3 s, t7^-2 21 s).
-# t1^e is bounded by LOOP_EXP_MAX. Band move equations of negative sources are
-# traced through the exponent flip, so lens jobs multiply positive loop
-# powers only.
-LOOP_POWER_MAX = (None, None, (20, 16), (9, 7), (6, 5), (4, 3), (3, 2), (3, 1),
-                  (3, 1)) + ((2, 0),) * 6 + ((1, 0),)
+# Round K + 1 of t1^e moves t1'^K past the axis through unprime_loop(K), so
+# t1^e stops at LOOP_EXP_MAX + 1 (t1^65 and t1^-65 1.1-1.3 s). Band move
+# equations of negative sources are traced through the exponent flip, so
+# lens jobs multiply positive loop powers only.
+LOOP_POWER_MAX = (None, (LOOP_EXP_MAX + 1,) * 2, (20, 16), (9, 7), (6, 5), (4, 3),
+                  (3, 2), (3, 1), (3, 1)) + ((2, 0),) * 6 + ((1, 0),)
 
 
 def _acc(out, key, c):
@@ -281,9 +282,9 @@ class AlgebraElement:
         return AlgebraElement(n, {((), perm_id(n)): P.pconst(1)})
 
     @staticmethod
-    def word(n, loops, perm, coeff=None):
+    def word(n, loops, perm):
         el = AlgebraElement(n)
-        el.add_term(loops, perm, P.pconst(1) if coeff is None else coeff)
+        el.add_term(loops, perm, P.pconst(1))
         return el
 
     def add_term(self, loops, perm, coeff):
@@ -443,13 +444,12 @@ def rmul_loop(el, j, e):
     """Right multiply by the commuting loop letter tj^e."""
     if j == 0:
         return rmul_axis(el, e)
-    if j >= 2:
-        most = LOOP_POWER_MAX[j][e < 0]
-        if abs(e) > most:
-            raise WordError(
-                "loop power t%d^%d; |exponent| <= %d for %s powers of t%d"
-                % (j, e, most, "inverse" if e < 0 else "positive", j)
-            )
+    most = LOOP_POWER_MAX[j][e < 0]
+    if abs(e) > most:
+        raise WordError(
+            "loop power t%d^%d; |exponent| <= %d for %s powers of t%d"
+            % (j, e, most, "inverse" if e < 0 else "positive", j)
+        )
     sgn = 1 if e > 0 else -1
     cur = el
     for _ in range(abs(e)):

@@ -289,20 +289,6 @@ def _check_probe(probe_level_max):
         raise ValueError("probe level %d checks nothing; need probe >= 1" % probe_level_max)
 
 
-def _partition_monomials(level_max):
-    """Multisets of positive indices with weighted level 1..level_max."""
-    out = set()
-
-    def rec(prefix, rest, start):
-        for j in range(start, rest + 1):
-            cur = prefix + (j,)
-            out.add(cur)
-            rec(cur, rest - j, j)
-
-    rec((), level_max, 1)
-    return sorted(out, key=lambda m: (mono_level(m), m))
-
-
 def check_generating_set(r, probe_level_max):
     """Probe whether low-index monomials generate everything at small scale.
 
@@ -319,7 +305,8 @@ def check_generating_set(r, probe_level_max):
     rules = r.rule_map()
     alt = reduce_system(r.bundle, orientation="low")
     alt_rules = alt.rule_map()
-    probes = _partition_monomials(probe_level_max)
+    # every multiset of positive indices of weighted level 1..probe_level_max
+    probes = [m for m in _abs_monomials(probe_level_max, probe_level_max) if m[0] > 0]
     reduced = []
     undecided = []
     confluent = True
@@ -369,7 +356,7 @@ def _abs_monomials(level_max, idx_max):
     return sorted(out, key=lambda m: (sum(abs(j) for j in m), m))
 
 
-def candidate_basis_experiment(p, probe_level_max, k_max=None):
+def candidate_basis_experiment(p, probe_level_max, k_max):
     """Join both exponent sides and test the split-window basis candidate.
 
     The window keeps indices j with -p/2 <= j < p/2. Every relation from
@@ -381,8 +368,6 @@ def candidate_basis_experiment(p, probe_level_max, k_max=None):
     A probe level below 1 probes nothing and is a ValueError.
     """
     _check_probe(probe_level_max)
-    if k_max is None:
-        k_max = probe_level_max
     win = set(_window(p))
 
     def outside(m):

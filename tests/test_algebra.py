@@ -140,16 +140,21 @@ def test_braiding_power_limit():
             A.rmul_letter(A.AlgebraElement.one(3), "sigma", 2, k)
 
 
-def test_loop_power_limit():
-    # LOOP_POWER_MAX[j] bounds |e| of tj^e for j >= 2, separately for
+def test_loop_power_limit(monkeypatch):
+    # LOOP_POWER_MAX[j] bounds |e| of tj^e for j >= 1, separately for
     # positive and inverse powers; each word at a limit is built, one
-    # more unit of |e| is refused
+    # more unit of |e| is refused before any multiplication
     assert len(A.LOOP_POWER_MAX) == 16  # t15 is the last loop on 16 strands
-    for j, e in ((10, 2), (7, -1)):
+    for j, e in ((10, 2), (7, -1), (1, 65), (1, -65)):
         assert abs(e) == A.LOOP_POWER_MAX[j][e < 0]
         A.project_braid(parse_word("t%d^%d" % (j, e)))
-    for text in ("t2^21", "t2^-17", "t10^3", "t7^-2", "t9^-1", "t15^-1"):
-        with pytest.raises(WordError, match="loop power"):
+
+    def no_work(*args):
+        raise AssertionError("multiplied before the bound check")
+
+    monkeypatch.setattr(A, "rmul_sigma", no_work)
+    for text in ("t2^21", "t2^-17", "t10^3", "t7^-2", "t9^-1", "t15^-1", "t1^66", "t1^-66"):
+        with pytest.raises(WordError, match="loop power " + text.replace("^", r"\^")):
             A.project_braid(parse_word(text))
 
 

@@ -209,6 +209,8 @@ def test_verify_rejects_out_of_range_modulus(capsys, suite, p):
         (("relations", "--samples", "-1"), "suite relations needs samples >= 0"),
         (("relations", "--samples", "0"), "suite relations checked nothing"),
         (("invariance", "--samples", "0"), "suite invariance checked nothing"),
+        (("eq15", "--n", "0"), "suite eq15 checked nothing"),
+        (("eq15", "--k", "0"), "suite eq15 checked nothing"),
         (("lemma2", "--k", "0"), "suite lemma2 checked nothing"),
         (("lemma3", "--k", "0"), "suite lemma3 checked nothing"),
         (("triangular", "--k", "0"), "suite triangular checked nothing"),
@@ -275,6 +277,11 @@ def test_power_limits_exit_1(capsys):
         ("g1^-2501", "braiding power g1^-2501; |exponent| <= 2500"),
         ("t2^33", "loop power t2^33; |exponent| <= 20 for positive powers of t2"),
         ("t g1 t3^-8", "loop power t3^-8; |exponent| <= 7 for inverse powers of t3"),
+        ("t1^66", "loop power t1^66; |exponent| <= 65 for positive powers of t1"),
+        ("t1^-66", "loop power t1^-66; |exponent| <= 65 for inverse powers of t1"),
+        # a primed loop power passing a lower loop is bounded where it is
+        # unprimed
+        ("t1'^65 t", "loop exponent 65 passes a lower loop; |exponent| <= 64"),
     ):
         code, out, err = run(capsys, "normalize", word, "--n", "4")
         assert (code, out, err) == (1, "", "error: %s\n" % msg)

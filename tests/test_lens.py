@@ -266,7 +266,7 @@ def test_check_generating_set_small_moduli():
 
 
 def test_candidate_basis_experiment_p2():
-    win = candidate_basis_experiment(2, 2)
+    win = candidate_basis_experiment(2, 2, 2)
     assert win["window"] == [-1]
     assert win["checked"] == 7
     assert win["undecided"] == ["s[1]s[1]"]
@@ -282,7 +282,7 @@ def test_candidate_basis_experiment_p2():
 
 
 def test_candidate_basis_experiment_p3():
-    win = candidate_basis_experiment(3, 2)
+    win = candidate_basis_experiment(3, 2, 2)
     assert win["window"] == [-1, 1]
     assert win["checked"] == 7
     assert win["undecided"] == []

@@ -1,9 +1,11 @@
 """Command output pinned byte for byte.
 
 Each digest is the sha256 of everything the listed `heckeb` commands print,
-run in order in one process, with every exit code. The digests were recorded
-before the refactors that must not change output; regenerate them only for a
-deliberate change of output, with
+on stdout and stderr, run in order in one process, with every exit code.
+The `verify-broken` digest runs the identity suites in a fresh interpreter
+whose g2 kernel is deliberately broken, which pins the failure reports. The
+digests were recorded before the refactors that must not change output;
+regenerate them only for a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_output_digests.py
 """
@@ -11,13 +13,51 @@ deliberate change of output, with
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from heckeb import cli
+from heckeb import algebra, cli
 from heckeb.words import enumerate_level
 
 INVARIANT_WORDS = ("g1", "g1^3", "t t1^-2 g1^-1", "t^2 g2 t1'^-1 g1", "t2^-1 g1 t")
+
+# the cli-cold benchmark's verify commands, flip, larger grids and rejected
+# parameters
+VERIFY_ARGS = (
+    ("relations", "--n", "3", "--samples", "5"),
+    ("markov", "--n", "3", "--samples", "5"),
+    ("invariance", "--n", "3", "--samples", "5"),
+    ("eq15", "--n", "2", "--k", "2"),
+    ("lemma2", "--n", "2", "--k", "2"),
+    ("lemma3", "--n", "2", "--k", "2"),
+    ("lemma4", "--p", "2", "--k", "2"),
+    ("theorem9", "--p", "2", "--k", "2"),
+    ("prop2", "--p", "2", "--k", "2"),
+    ("grading", "--p", "2", "--k", "2"),
+    ("triangular", "--n", "3", "--k", "2"),
+    ("flip", "--n", "3", "--samples", "5", "--p", "2", "--k", "2"),
+    ("relations", "--n", "4", "--samples", "10", "--seed", "3"),
+    ("eq15", "--n", "3", "--k", "3"),
+    ("lemma2", "--n", "3", "--k", "3"),
+    ("lemma3", "--n", "3", "--k", "3"),
+    ("theorem9", "--p", "3", "--k", "3"),
+    ("lemma4", "--k", "3"),
+    ("relations", "--samples", "0"),
+    ("lemma3", "--k", "0"),
+    ("prop2", "--p", "-1"),
+)
+
+# suites whose identities go through g2, run with it broken
+BROKEN_ARGS = (
+    ("eq15", "--n", "2", "--k", "2"),
+    ("lemma2", "--n", "2", "--k", "2"),
+    ("lemma3", "--n", "2", "--k", "2"),
+    ("relations", "--n", "3", "--samples", "2"),
+    ("relations", "--n", "4", "--samples", "1"),
+)
 
 
 def _loop_words():
@@ -47,18 +87,56 @@ def _commands(name):
         return out
     if name == "experiment":
         return [("experiment", "--p", "2", "--probe", "2")]
+    if name in ("verify", "verify-broken"):
+        return [
+            ("verify", "--suite") + args + fmt
+            for args in (VERIFY_ARGS if name == "verify" else BROKEN_ARGS)
+            for fmt in ((), ("--format", "json"))
+        ]
     raise KeyError(name)
 
 
 def _digest(name):
     h = hashlib.sha256()
     for argv in _commands(name):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
         h.update(("%s\n%d\n" % (" ".join(argv), code)).encode())
-        h.update(buf.getvalue().encode())
+        h.update(out.getvalue().encode())
+        h.update(err.getvalue().encode())
     return h.hexdigest()
+
+
+def _break_g2():
+    """Make algebra.rmul_sigma multiply every g2 by 2."""
+    rmul_sigma = algebra.rmul_sigma
+
+    def broken(el, i, sign):
+        out = rmul_sigma(el, i, sign)
+        return out.scale({(0, 0): 2}) if i == 2 else out
+
+    algebra.rmul_sigma = broken
+
+
+def _broken_digest():
+    """The verify-broken digest, taken in a fresh interpreter: in this one,
+    the memo tables would mix entries built with and without the break."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        "import test_output_digests as t; t._break_g2();"
+        " print(t._digest('verify-broken'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, here)))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return run.stdout.strip()
+
+
+def _current(name):
+    return _broken_digest() if name == "verify-broken" else _digest(name)
 
 
 DIGESTS = {
@@ -66,13 +144,15 @@ DIGESTS = {
     "invariant": "515b5ade4dc387d47e10cbfe2ce0c58c75b3f7e581b4596427f37b1b4e0dbec0",
     "systems": "f61d49c8357f50836cfa1d30bf250cc591441fa4d4c1e37d5b3d4fa832d617d3",
     "experiment": "30f595449b4d1e70d16167e77559007bfcb653dd55581b2a3543996f9eafbbb7",
+    "verify": "c98811495586391d85291cc1f6a29d220e81cb1f5a8a401ffcae0fe8c8e04277",
+    "verify-broken": "5de7cc09cc92706fd7363643fe2b85b15418d553f49be5f846de335ef47b4335",
 }
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_matches_recorded_digest(name):
     assert len(_commands(name)) > 0
-    assert _digest(name) == DIGESTS[name]
+    assert _current(name) == DIGESTS[name]
 
 
 def test_order_covers_every_pair_of_level_3_words():
@@ -80,5 +160,5 @@ def test_order_covers_every_pair_of_level_3_words():
 
 
 if __name__ == "__main__":
-    for key in ("order", "invariant", "systems", "experiment"):
-        print("    %r: %r," % (key, _digest(key)))
+    for key in ("order", "invariant", "systems", "experiment", "verify", "verify-broken"):
+        print("    %r: %r," % (key, _current(key)))
