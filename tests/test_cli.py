@@ -209,8 +209,6 @@ def test_verify_rejects_out_of_range_modulus(capsys, suite, p):
         (("relations", "--samples", "-1"), "suite relations needs samples >= 0"),
         (("relations", "--samples", "0"), "suite relations checked nothing"),
         (("invariance", "--samples", "0"), "suite invariance checked nothing"),
-        (("eq15", "--n", "0"), "suite eq15 checked nothing"),
-        (("eq15", "--k", "0"), "suite eq15 checked nothing"),
         (("lemma2", "--k", "0"), "suite lemma2 checked nothing"),
         (("lemma3", "--k", "0"), "suite lemma3 checked nothing"),
         (("triangular", "--k", "0"), "suite triangular checked nothing"),
@@ -220,6 +218,8 @@ def test_verify_rejects_out_of_range_modulus(capsys, suite, p):
         (("triangular", "--n", "0"), "suite triangular checked nothing"),
         (("markov", "--n", "1"), "suite markov needs n >= 2"),
         (("invariance", "--n", "0"), "suite invariance needs n >= 2"),
+        (("eq15", "--n", "0"), "suite eq15 checked nothing"),
+        (("eq15", "--k", "0"), "suite eq15 checked nothing"),
     ],
 )
 def test_verify_rejects_suites_that_check_nothing(capsys, argv, err):
