@@ -29,8 +29,6 @@ Coefficients here never involve z; they are Laurent polynomials in q
 stored in the shared (q-exp, z-exp) dict representation with z-exp 0.
 """
 
-from __future__ import annotations
-
 import functools
 
 from . import poly as P

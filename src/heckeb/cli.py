@@ -11,10 +11,8 @@ Exit codes: 0 on success, 1 on domain errors (parse failures, map domain
 violations, bad ranges, an unknown suite name), 2 when a verification
 suite fails (the first counterexample is printed). The lens and verify
 modules are imported by the commands that use them, so the word commands
-do not load them.
+do not load them, and `verify` loads lens only for suite theorem9.
 """
-
-from __future__ import annotations
 
 import argparse
 import json

@@ -21,10 +21,6 @@ modeled is by a linear span of imposed identities, so substitution only
 ever replaces a whole monomial.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .scalars import rf_int, rf_invmap
 from .trace import (
     Equation,
@@ -38,14 +34,16 @@ from .trace import (
 from .words import enumerate_level
 
 
-@dataclass(frozen=True)
 class SystemBundle:
     """All band-move identities from sources of level 0..k_max on one side."""
 
-    p: int
-    k_max: int
-    side: str
-    equations: tuple
+    __slots__ = ("p", "k_max", "side", "equations")
+
+    def __init__(self, p, k_max, side, equations):
+        self.p = p
+        self.k_max = k_max
+        self.side = side
+        self.equations = equations
 
     def to_json(self):
         return {
@@ -130,28 +128,32 @@ def compare_mirror(p, k_max):
     }
 
 
-@dataclass(frozen=True)
 class Rule:
     """One oriented relation: the head monomial rewrites to the value."""
 
-    head: tuple
-    value: TraceValue
+    __slots__ = ("head", "value")
+
+    def __init__(self, head, value):
+        self.head = head
+        self.value = value
 
     def to_json(self):
         return {"head": mono_str(self.head), "value": self.value.to_json()}
 
 
-@dataclass(frozen=True)
 class ReducedSystem:
     """Inter-reduced rewrite rules extracted from a bundle, plus leftovers."""
 
-    p: int
-    k_max: int
-    side: str
-    rules: tuple
-    redundant: int
-    leftovers: tuple
-    bundle: SystemBundle
+    __slots__ = ("p", "k_max", "side", "rules", "redundant", "leftovers", "bundle")
+
+    def __init__(self, p, k_max, side, rules, redundant, leftovers, bundle):
+        self.p = p
+        self.k_max = k_max
+        self.side = side
+        self.rules = rules
+        self.redundant = redundant
+        self.leftovers = leftovers
+        self.bundle = bundle
 
     def rule_map(self):
         return {r.head: r.value for r in self.rules}

@@ -31,8 +31,6 @@ field, so a closure scalar is a fraction r with a parity bit: r w^0 or
 r w^1. The normalization constant d = w q/(z+1-q) has d w = 1/z.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import poly as P

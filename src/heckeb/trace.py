@@ -31,10 +31,6 @@ t_i, but not proved; f_map_word is not the algebra map on primed letters
 t_i', and the identity is not claimed for them.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from . import poly as P
 from .algebra import (
     AlgebraElement,
@@ -370,7 +366,6 @@ def map_flip(tv):
 # -- band move equations -------------------------------------------------------
 
 
-@dataclass
 class Equation:
     """One trace identity imposed by a band move at modulus p.
 
@@ -379,13 +374,16 @@ class Equation:
     relation is lhs = rhs.
     """
 
-    source: LoopMonomial
-    sign: int
-    p: int
-    level: int
-    coeff: RatFunc
-    lhs: TraceValue
-    rhs: TraceValue
+    __slots__ = ("source", "sign", "p", "level", "coeff", "lhs", "rhs")
+
+    def __init__(self, source, sign, p, level, coeff, lhs, rhs):
+        self.source = source
+        self.sign = sign
+        self.p = p
+        self.level = level
+        self.coeff = coeff
+        self.lhs = lhs
+        self.rhs = rhs
 
     def residual(self):
         return self.lhs.sub(self.rhs)

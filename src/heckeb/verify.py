@@ -11,14 +11,11 @@ The checks are built from the engine's own types: words are projected with
 `run_suite` passes each suite the parameters its signature names.
 """
 
-from __future__ import annotations
-
 import functools
 import random
 
 from . import algebra as A
 from . import poly as P
-from .lens import compare_mirror
 from .scalars import RatFunc, lam, rf_invmap, rf_mono, rf_z
 from .trace import (
     TraceValue,
@@ -55,6 +52,18 @@ def _at_least(suite, name, value, least):
     if value < least:
         raise ValueError("suite %s needs %s >= %d" % (suite, name, least))
     return value
+
+
+def _at_most(suite, name, value, letters, where=""):
+    """ValueError unless letters(v), v = 1..value, fit algebra.LOOP_POWER_MAX."""
+    table = A.LOOP_POWER_MAX
+    for v in range(1, value + 1):
+        for kind, idx, e in letters(v):
+            if kind == "loop" and idx:
+                if idx >= len(table) or abs(e) > table[idx][e < 0]:
+                    raise ValueError(
+                        "suite %s needs %s <= %d%s" % (suite, name, v - 1, where)
+                    )
 
 
 def _report(suite, checked, failures, params, notes=()):
@@ -379,13 +388,21 @@ def suite_invariance(n=4, samples=100, seed=DEFAULT_SEED):
     )
 
 
-def _identity_grid(n, k, extra, key, names, build):
+def _identity_grid(suite, n, k, extra, build, key="part", names=("positive", "negative")):
     """Check one identity family at every nn in 1..n, kk in 1..k and sign.
 
     build(nn, kk, s) returns the lhs letters and the rhs (coeff, letters)
     terms of the identity on nn + extra strands; a failure records the
-    sign's entry of names under key. Returns (checked, failures).
+    sign's entry of names under key. Returns (checked, failures); an n or
+    k past algebra.LOOP_POWER_MAX is a ValueError before any work.
     """
+
+    def letters(nns, kk):
+        rows = [build(nn, kk, s) for nn in nns for s in (1, -1)]
+        return [x for lhs, rhs in rows for w in [lhs] + [t for _, t in rhs] for x in w]
+
+    _at_most(suite, "n", n, lambda nn: letters([nn], 1))
+    _at_most(suite, "k", k, lambda kk: letters(range(1, n + 1), kk), " at n = %d" % n)
     failures = []
     checked = 0
     for nn in range(1, n + 1):
@@ -417,7 +434,7 @@ def suite_eq15(n=3, k=5):
         return lhs, rhs
 
     checked, failures = _identity_grid(
-        n, k, 1, "line", ("positive", "negative-short-tail"), build
+        "eq15", n, k, 1, build, "line", ("positive", "negative-short-tail")
     )
     # the conjugated three-letter tail candidate, smallest instance; it
     # settles a display question, so it counts only next to a checked grid
@@ -463,7 +480,7 @@ def suite_lemma2(n=3, k=5):
         )
         return [("loop", nn, s * kk)], rhs
 
-    checked, failures = _identity_grid(n, k, 1, "part", ("positive", "negative"), build)
+    checked, failures = _identity_grid("lemma2", n, k, 1, build)
     return _report("lemma2", checked, failures, {"n": n, "k": k})
 
 
@@ -483,7 +500,7 @@ def suite_lemma3(n=3, k=5):
         ]
         return lhs, rhs
 
-    checked, failures = _identity_grid(n, k, 2, "part", ("positive", "negative"), build)
+    checked, failures = _identity_grid("lemma3", n, k, 2, build)
     return _report("lemma3", checked, failures, {"n": n, "k": k})
 
 
@@ -611,6 +628,8 @@ def suite_theorem9(p=3, k=3):
     axis degeneration, and the formal identity is asserted on the
     axis-tagged recursion for the axis-power sources.
     """
+    from .lens import compare_mirror  # here, so that no other suite loads lens
+
     failures = []
     checked = 0
     for pp in range(1, _at_least("theorem9", "p", p, 1) + 1):
@@ -695,6 +714,8 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
     """
     n = _at_least("flip", "n", n, 2)
     p_list = (2, 3, 4) if p is None else (_at_least("flip", "p", p, 1),)
+    exponents = (-2, -1, 1, 2)  # every loop power the seeded words can draw must fit
+    _at_most("flip", "n", n, lambda nn: [("loop", nn - 1, e) for e in exponents])
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -713,7 +734,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
                 letter = ("sigma", rng.randrange(1, nn))
             else:
                 letter = ("loop", rng.randrange(0, nn))
-            letters.append(letter + (rng.choice((-2, -1, 1, 2)),))
+            letters.append(letter + (rng.choice(exponents),))
         check("random-word", MixedBraidWord(nn, tuple(letters)))
     for pp in p_list:
         for kk in range(0, int(k) + 1):
@@ -770,7 +791,7 @@ def suite_triangular(n=3, k=4):
     """
     failures = []
     checked = 0
-    signs = set()
+    signs = {}  # observed sign -> first word showing it
     for m in enumerate_abs_level(int(k), int(n), primed=False):
         e = m.entries
         if not e or not m.gap_free:
@@ -785,9 +806,9 @@ def suite_triangular(n=3, k=4):
         checked += 1
         if diag == {(expo, 0): 1}:
             if expo != 0:
-                signs.add("+")
+                signs.setdefault("+", str(m))
         elif diag == {(-expo, 0): 1}:
-            signs.add("-")
+            signs.setdefault("-", str(m))
         else:
             failures.append(
                 {
@@ -809,12 +830,17 @@ def suite_triangular(n=3, k=4):
                         ),
                     }
                 )
-    sign = "".join(sorted(signs)) or "0"
-    notes = [
+    if len(signs) == 2:
+        failures.append(
+            {"check": "diagonal-sign", "positive": signs["+"], "negative": signs["-"]}
+        )
+    note = (
         "observed diagonal coefficient: q^(%ssum(index * exponent)) in the"
-        " unprimed-to-primed direction" % ("+" if sign == "+" else sign),
-    ]
-    return _report("triangular", checked, failures, {"n": n, "k": k}, notes)
+        " unprimed-to-primed direction" % "".join(signs)
+        if len(signs) == 1
+        else "the diagonal coefficient's sign is undetermined at these parameters"
+    )
+    return _report("triangular", checked, failures, {"n": n, "k": k}, [note])
 
 
 # in the order `heckeb verify` runs them

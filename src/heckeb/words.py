@@ -14,10 +14,7 @@ enumeration, and the total order used by the normal-form triangularity
 experiment.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 
 _TOKEN_RE = re.compile(r"^(t(\d+)?('?)|g(\d+))(\^(-?\d+))?$")
 
@@ -32,8 +29,32 @@ class WordError(ValueError):
 _STRANDS_MAX = 16
 
 
-@dataclass(frozen=True)
-class MixedBraidWord:
+class _Value:
+    """Immutable fields named by __slots__, equal and hashed by value. Not a
+    dataclass: `dataclasses` imports `inspect`, slow for a cold command."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+
+class MixedBraidWord(_Value):
     """A word in t, ti, ti', gi on n strands.
 
     letters: tuple of (kind, index, exp) with kind in {"loop", "ploop",
@@ -42,29 +63,29 @@ class MixedBraidWord:
     than 16 strands is a WordError.
     """
 
-    n: int
-    letters: tuple
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, letters):
+        if n < 1:
             raise WordError("strand count must be >= 1")
-        if self.n > _STRANDS_MAX:
-            raise WordError("%d strands; at most %d" % (self.n, _STRANDS_MAX))
+        if n > _STRANDS_MAX:
+            raise WordError("%d strands; at most %d" % (n, _STRANDS_MAX))
         clean = []
-        for kind, idx, exp in self.letters:
+        for kind, idx, exp in letters:
             if exp == 0:
                 continue
             if kind == "sigma":
-                if not 1 <= idx <= self.n - 1:
+                if not 1 <= idx <= n - 1:
                     raise WordError("g%d needs %d strands" % (idx, idx + 1))
             elif kind in ("loop", "ploop"):
-                if not 0 <= idx <= self.n - 1:
+                if not 0 <= idx <= n - 1:
                     raise WordError("t%d needs %d strands" % (idx, idx + 1))
                 if idx == 0 and kind == "ploop":
                     kind = "loop"  # t0' and t0 are the same letter
             else:
                 raise WordError("unknown letter kind %r" % (kind,))
             clean.append((kind, idx, exp))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", tuple(clean))
 
     def __mul__(self, other):
@@ -166,8 +187,7 @@ def word_to_json(w):
 # -- loop monomials -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoopMonomial:
+class LoopMonomial(_Value):
     """A product of loop letters with strictly increasing indices.
 
     entries: tuple of (index, exp), indices strictly increasing from >= 0,
@@ -175,20 +195,18 @@ class LoopMonomial:
     (True) loop family.
     """
 
-    entries: tuple
-    primed: bool = False
+    __slots__ = ("entries", "primed")
 
-    def __post_init__(self):
+    def __init__(self, entries, primed=False):
         last = -1
-        for idx, exp in self.entries:
+        for idx, exp in entries:
             if idx <= last:
                 raise WordError("loop indices must increase strictly")
             if exp == 0:
                 raise WordError("zero exponent in loop monomial")
-            if idx < 0:
-                raise WordError("negative loop index")
             last = idx
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "primed", primed)
 
     @property
     def level(self):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from heckeb import cli
+from heckeb import algebra, cli
 
 
 def run(capsys, *argv):
@@ -228,6 +228,40 @@ def test_verify_rejects_suites_that_check_nothing(capsys, argv, err):
     assert code == 1
     assert out == ""
     assert got.startswith("error: " + err), got
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("lemma2", "--n", "8", "--k", "1"), None),
+        (("lemma2", "--n", "9", "--k", "1"), "suite lemma2 needs n <= 8"),
+        (("lemma2", "--n", "8", "--k", "2"), "suite lemma2 needs k <= 1 at n = 8"),
+        (("eq15", "--n", "8", "--k", "1"), None),
+        (("eq15", "--n", "8", "--k", "2"), "suite eq15 needs k <= 1 at n = 8"),
+        (("lemma3", "--n", "7", "--k", "1"), None),
+        (("lemma3", "--n", "8", "--k", "1"), "suite lemma3 needs n <= 7"),
+        (("lemma3", "--n", "4", "--k", "6"), "suite lemma3 needs k <= 3 at n = 4"),
+        (("flip", "--n", "7", "--samples", "20", "--k", "0"), None),
+        (("flip", "--n", "8"), "suite flip needs n <= 7"),
+    ],
+)
+def test_verify_bounds_suite_parameters_by_loop_powers(capsys, monkeypatch, argv, err):
+    # past algebra.LOOP_POWER_MAX the suites would build a word the engine
+    # refuses; the refusal names the suite parameter and comes before any
+    # multiplication
+    if err is not None:
+
+        def no_work(*args):
+            raise AssertionError("multiplied before refusing")
+
+        monkeypatch.setattr(algebra, "rmul_sigma", no_work)
+        monkeypatch.setattr(algebra, "rmul_axis", no_work)
+    code, out, got = run(capsys, "verify", "--suite", *argv)
+    if err is None:
+        assert (code, got) == (0, ""), got
+        assert out.startswith("%s: PASS" % argv[0])
+    else:
+        assert (code, out, got) == (1, "", "error: %s\n" % err)
 
 
 def test_stdin_word(capsys, monkeypatch):

@@ -22,9 +22,10 @@ assert callable(heckeb.trace.trace)
 """
 
 
-def test_root_import_loads_no_module():
+def _run_probe(code):
+    """Run code in a fresh interpreter on the sources under test."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
@@ -33,26 +34,59 @@ def test_root_import_loads_no_module():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_root_import_loads_no_module():
+    _run_probe(PROBE)
+
+
 CLI_PROBE = """
 import contextlib, io, sys
+before = set(sys.modules)
 from heckeb import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["normalize", "t1 g1^-1", "--format", "json"]) == 0
-loaded = {"heckeb.lens", "heckeb.verify"} & set(sys.modules)
+loaded = {"heckeb.lens", "heckeb.verify", "dataclasses", "inspect"}
+loaded &= set(sys.modules) - before
 assert not loaded, loaded
 """
 
 
 def test_normalize_command_loads_no_lens_or_verify():
-    # the commands that need lens or verify import them when they run
-    proc = subprocess.run(
-        [sys.executable, "-c", CLI_PROBE],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # the commands that need lens or verify import them when they run, and
+    # no command pays for dataclasses and the inspect module it imports
+    _run_probe(CLI_PROBE)
+
+
+VERIFY_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+from heckeb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "lemma2", "--n", "2", "--k", "2"]) == 0
+assert "heckeb.lens" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--suite", "theorem9", "--p", "2", "--k", "1"]) == 0
+assert "heckeb.lens" in sys.modules
+loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+assert not loaded, loaded
+"""
+
+
+def test_verify_loads_lens_only_for_theorem9():
+    _run_probe(VERIFY_PROBE)
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # both cost a cold command more import time than a module of ours
+    for path in sorted((SRC / "heckeb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            bad = [n for n in names if n.split(".")[0] in ("dataclasses", "inspect")]
+            assert not bad, (path.name, node.lineno, bad)
 
 
 def _public_definitions(tree):

@@ -4,6 +4,7 @@ import inspect
 
 import pytest
 
+from heckeb import algebra
 from heckeb.verify import SUITES, run_suite
 
 REPORT_KEYS = {
@@ -100,3 +101,35 @@ def test_notes_present_where_adjudicated():
     assert any("+" in note for note in rep["notes"])
     rep = run_suite("lemma4", p=2, k=2)
     assert rep["notes"]
+
+
+def test_triangular_sign_undetermined_without_a_deciding_word():
+    # at k = 1 every checked word has sum(index * exponent) = 0
+    rep = run_suite("triangular", n=2, k=1)
+    assert rep["passed"] and rep["checked"] == 2
+    assert rep["notes"] == [
+        "the diagonal coefficient's sign is undetermined at these parameters"
+    ]
+
+
+def test_triangular_records_both_diagonal_signs_as_a_failure(monkeypatch):
+    # invert the diagonal coefficient of t t1 only: the other words keep +
+    real = algebra.project_braid
+
+    def project(word):
+        el = real(word)
+        if str(word) == "t t1":
+            terms = dict(el.terms)
+            terms[(((0, 1), (1, 1)), algebra.perm_id(2))] = {(-1, 0): 1}
+            el = algebra.AlgebraElement(el.n, terms)
+        return el
+
+    monkeypatch.setattr(algebra, "project_braid", project)
+    rep = run_suite("triangular", n=3, k=2)
+    assert not rep["passed"]
+    assert rep["failures"] == [
+        {"check": "diagonal-sign", "positive": "t^-1 t1^-1", "negative": "t t1"}
+    ]
+    assert rep["notes"] == [
+        "the diagonal coefficient's sign is undetermined at these parameters"
+    ]

@@ -102,11 +102,11 @@ def test_loop_monomial_of_word():
 
 
 def test_loop_monomial_validation():
-    with pytest.raises(WordError):
-        LoopMonomial(((1, 1), (1, 2)))  # indices must increase strictly
-    with pytest.raises(WordError):
-        LoopMonomial(((0, 0),))  # zero exponent
-    with pytest.raises(WordError):
+    with pytest.raises(WordError, match="^loop indices must increase strictly$"):
+        LoopMonomial(((1, 1), (1, 2)))
+    with pytest.raises(WordError, match="^zero exponent in loop monomial$"):
+        LoopMonomial(((0, 0),))
+    with pytest.raises(WordError, match="^loop indices must increase strictly$"):
         LoopMonomial(((-1, 1),))
 
 
@@ -119,6 +119,55 @@ def test_loop_monomial_shape():
     assert LoopMonomial(((0, 1), (1, -2))).flip().entries == ((0, -1), (1, 2))
     assert LoopMonomial(()).top_index == -1
     assert LoopMonomial(()).gap_free
+
+
+def test_value_types_compare_and_hash_by_fields():
+    w = MixedBraidWord(2, (("sigma", 1, 1), ("loop", 0, 0), ("ploop", 0, 2)))
+    v = MixedBraidWord(n=2, letters=[("sigma", 1, 1), ("loop", 0, 2)])
+    m = LoopMonomial(((0, 1), (1, 2)))
+    k = LoopMonomial(entries=[(0, 1), (1, 2)], primed=False)
+    assert w == v and hash(w) == hash(v)
+    assert m == k and hash(m) == hash(k)
+    assert w != MixedBraidWord(3, v.letters)
+    assert m != LoopMonomial(((0, 1), (1, 2)), primed=True)
+    assert m != m.as_word() and m.as_word() != m
+    table = {w: "word", m: "monomial"}
+    assert table[v] == "word" and table[k] == "monomial"
+
+
+def test_value_types_are_immutable():
+    w = MixedBraidWord(2, (("sigma", 1, 1),))
+    m = LoopMonomial(entries=((0, -1),), primed=True)
+    for obj, field in ((w, "n"), (w, "letters"), (m, "entries"), (m, "primed"), (w, "x")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert w == MixedBraidWord(2, (("sigma", 1, 1),)) and m.primed
+
+
+def test_value_type_repr():
+    assert repr(MixedBraidWord(2, (("sigma", 1, -1), ("loop", 1, 2)))) == (
+        "MixedBraidWord(n=2, letters=(('sigma', 1, -1), ('loop', 1, 2)))"
+    )
+    assert repr(LoopMonomial(entries=((0, -1), (1, 2)), primed=True)) == (
+        "LoopMonomial(entries=((0, -1), (1, 2)), primed=True)"
+    )
+    assert repr(LoopMonomial(())) == "LoopMonomial(entries=(), primed=False)"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: MixedBraidWord(0, ()), "strand count must be >= 1"),
+        (lambda: MixedBraidWord(17, ()), "17 strands; at most 16"),
+        (lambda: MixedBraidWord(2, (("sigma", 2, 1),)), "g2 needs 3 strands"),
+        (lambda: MixedBraidWord(2, (("ploop", 2, 1),)), "t2 needs 3 strands"),
+        (lambda: MixedBraidWord(2, (("x", 0, 1),)), "unknown letter kind 'x'"),
+    ],
+)
+def test_word_construction_errors(make, message):
+    with pytest.raises(WordError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_as_word_strands():
