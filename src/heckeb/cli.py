@@ -19,7 +19,7 @@ import json
 import sys
 
 from .algebra import project_braid
-from .trace import TraceDomainError, invariant_x, map_I, trace_of_word
+from .trace import TraceDomainError, invariant_x, map_I, mono_str, trace_of_word
 from .words import (
     WordError,
     bbm_image,
@@ -138,9 +138,8 @@ def _cmd_gen_system(args):
 
 def _reduced_text(r):
     lines = []
-    for rule in r.rules:
-        j = rule.to_json()
-        lines.append("%s -> %s" % (j["head"], rule.value))
+    for head, value in r.rules.items():
+        lines.append("%s -> %s" % (mono_str(head), value))
     lines.append("redundant equations: %d" % r.redundant)
     if r.leftovers:
         lines.append("torsion candidates: %d" % len(r.leftovers))
@@ -220,7 +219,7 @@ def _cmd_experiment(args):
     k_max = args.k_max if args.k_max is not None else args.probe
     r = reduce_system(generate_system(args.p, k_max, "+"))
     gen = check_generating_set(r, args.probe)
-    win = candidate_basis_experiment(args.p, args.probe, k_max)
+    win = candidate_basis_experiment(r, args.probe)
     _emit(
         args,
         lambda: _experiment_text(gen, win),

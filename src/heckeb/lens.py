@@ -7,13 +7,15 @@ of weighted level 0..k_max on one side of the exponent sign split, both
 signs of a source at once through bbm_equation_pair, which traces the
 source once and projects the stem t^p tau_+ of the two images once. On
 the negative side both are traced through the exponent flip f and mapped
-back with Phi (trace.map_flip): the flipped source is a positive source,
-and the flipped stem t^-p f(tau_+) has only positive loops.
+back with Phi (trace.map_flip), so only positive loops are multiplied.
 compare_mirror pushes the negative-side bundle through the
-index/coefficient flip map and diffs it against the positive side, and
-reduce_system runs exact Gaussian elimination over the
-rational-function field, orienting each relation so that the monomial
-carrying the largest index at least p is rewritten into lower terms.
+index/coefficient flip map and diffs it against the positive side.
+reduce_system eliminates exactly over the rational-function field,
+rewriting the monomial carrying the largest index at least p. Its rules
+r.rules are one dict head -> value, in creation order, and no value
+mentions a head. check_generating_set(r, probe) and
+candidate_basis_experiment(r, probe) probe the reduced positive system
+r; the second joins the negative side.
 
 Monomials here are coordinates, not products: a rule rewriting s[4] does
 not touch s[4]s[1], which needs its own equation. The quotient being
@@ -124,71 +126,50 @@ def compare_mirror(p, k_max):
         "entries": entries,
         "exact_below_p": all_below_p_match,
         "mismatch_levels": sorted(mismatch_levels),
-        "expected_mismatch_levels": [k for k in range(p, k_max + 1)],
+        "expected_mismatch_levels": list(range(p, k_max + 1)),
     }
 
 
-class Rule:
-    """One oriented relation: the head monomial rewrites to the value."""
-
-    __slots__ = ("head", "value")
-
-    def __init__(self, head, value):
-        self.head = head
-        self.value = value
-
-    def to_json(self):
-        return {"head": mono_str(self.head), "value": self.value.to_json()}
-
-
 class ReducedSystem:
-    """Inter-reduced rewrite rules extracted from a bundle, plus leftovers."""
+    """Inter-reduced rules (head -> head-free value) from a bundle, plus leftovers."""
 
-    __slots__ = ("p", "k_max", "side", "rules", "redundant", "leftovers", "bundle")
+    __slots__ = ("rules", "redundant", "leftovers", "bundle")
 
-    def __init__(self, p, k_max, side, rules, redundant, leftovers, bundle):
-        self.p = p
-        self.k_max = k_max
-        self.side = side
+    def __init__(self, rules, redundant, leftovers, bundle):
         self.rules = rules
         self.redundant = redundant
         self.leftovers = leftovers
         self.bundle = bundle
 
-    def rule_map(self):
-        return {r.head: r.value for r in self.rules}
-
     def to_json(self):
+        b = self.bundle
         return {
-            "p": self.p,
-            "k_max": self.k_max,
-            "side": self.side,
-            "rules": [r.to_json() for r in self.rules],
+            "p": b.p,
+            "k_max": b.k_max,
+            "side": b.side,
+            "rules": [{"head": mono_str(h), "value": v.to_json()} for h, v in self.rules.items()],
             "redundant": self.redundant,
             "torsion_candidates": [v.to_json() for v in self.leftovers],
         }
 
 
 def reduce_value(tv, rules):
-    """Substitute whole head monomials until none remains.
+    """Substitute every head monomial of tv in one pass.
 
-    Rule values are kept free of head monomials, so one sweep per pass
-    terminates; the loop re-sweeps only if a substitution introduced terms.
+    Rule values must be free of heads; a value that still mentions one is
+    a ValueError (a cyclic map would otherwise never settle).
     """
-    while True:
-        if not any(m in rules for m in tv.terms):
-            return tv
-        out = TraceValue.zero()
-        for m, c in tv.terms.items():
-            if m in rules:
-                out = out.add(rules[m].scale(c))
-            else:
-                out = out.add(TraceValue({m: c}))
-        tv = out
-
-
-def _pivot_key(m):
-    return (mono_level(m), max(m), tuple(sorted(m, reverse=True)))
+    out = TraceValue()
+    for m, c in tv.terms.items():
+        value = rules.get(m)
+        if value is None:
+            out.add_term(m, c)
+            continue
+        for mm, cc in value.terms.items():
+            if mm in rules:
+                raise ValueError("rule for %s mentions head %s" % (mono_str(m), mono_str(mm)))
+            out.add_term(mm, cc * c)
+    return out
 
 
 def _reduce_rows(residuals, eligible, key, reverse):
@@ -196,11 +177,11 @@ def _reduce_rows(residuals, eligible, key, reverse):
 
     eligible picks which monomials may head a rule; key orders them and
     reverse selects the large (True) or small (False) end. Returns the
-    final rule map, the heads in creation order, the count of rows that
-    vanished, and the nonzero rows no eligible monomial could orient.
+    rule map (head -> head-free value, in creation order), the count of
+    rows that vanished, and the nonzero rows no eligible monomial could
+    orient.
     """
     rules = {}
-    order = []
     redundant = 0
     leftovers = []
     for r in residuals:
@@ -213,16 +194,14 @@ def _reduce_rows(residuals, eligible, key, reverse):
             leftovers.append(r)
             continue
         head = max(cand, key=key) if reverse else min(cand, key=key)
-        c = r.terms[head]
-        value = r.sub(TraceValue({head: c})).scale((-c).inverse())
-        for h in order:
-            cur = rules[h]
-            if head in cur.terms:
-                coef = cur.terms[head]
-                rules[h] = cur.sub(TraceValue({head: coef})).add(value.scale(coef))
+        value = r.scale((-r.terms.pop(head)).inverse())
+        for cur in rules.values():
+            coef = cur.terms.pop(head, None)
+            if coef is not None:
+                for m, c in value.terms.items():
+                    cur.add_term(m, c * coef)
         rules[head] = value
-        order.append(head)
-    return rules, order, redundant, leftovers
+    return rules, redundant, leftovers
 
 
 def reduce_system(b, orientation="high"):
@@ -237,32 +216,23 @@ def reduce_system(b, orientation="high"):
     """
     if b.side != "+":
         raise ValueError("reduce_system expects a positive-side bundle")
+    if orientation not in ("high", "low"):
+        raise ValueError("orientation must be 'high' or 'low', not %r" % (orientation,))
     p = b.p
-    rules, order, redundant, leftovers = _reduce_rows(
+    rules, redundant, leftovers = _reduce_rows(
         [e.residual() for e in b.equations],
         eligible=lambda m: max(m) >= p,
-        key=_pivot_key,
+        key=lambda m: (mono_level(m), max(m), tuple(sorted(m, reverse=True))),
         reverse=(orientation == "high"),
     )
-    return ReducedSystem(
-        p=p,
-        k_max=b.k_max,
-        side=b.side,
-        rules=tuple(Rule(h, rules[h]) for h in order),
-        redundant=redundant,
-        leftovers=tuple(leftovers),
-        bundle=b,
-    )
+    return ReducedSystem(rules, redundant, tuple(leftovers), b)
 
 
 def _proportional(a, b):
     """True when a equals a rational-function multiple of nonzero b."""
-    head = next(iter(b.sorted_terms()))[0]
-    ca = a.coeff(head)
-    cb = b.terms[head]
-    if ca.is_zero():
-        return False
-    return a == b.scale(ca / cb)
+    head = next(iter(b.terms))
+    ca = a.terms.get(head)
+    return ca is not None and a == b.scale(ca / b.terms[head])
 
 
 def back_substitution_check(r):
@@ -272,10 +242,9 @@ def back_substitution_check(r):
     leftovers reduce back to themselves (up to scale). Returns the
     offending (source, sign, reduced) triples, empty on success.
     """
-    rules = r.rule_map()
     bad = []
     for e in r.bundle.equations:
-        red = reduce_value(e.residual(), rules)
+        red = reduce_value(e.residual(), r.rules)
         if red.is_zero():
             continue
         if any(_proportional(red, l) for l in r.leftovers):
@@ -284,11 +253,11 @@ def back_substitution_check(r):
     return bad
 
 
-def _check_probe(probe_level_max):
-    """ValueError for a probe level that leaves nothing to check, which
-    would otherwise read as a pass."""
-    if probe_level_max < 1:
-        raise ValueError("probe level %d checks nothing; need probe >= 1" % probe_level_max)
+def _normal_form(m, rules, outside):
+    """The normal form of monomial m under rules, or None when a monomial
+    other than 1 that outside accepts remains."""
+    nf = reduce_value(TraceValue({m: rf_int(1)}), rules)
+    return None if any(mm != () and outside(mm) for mm in nf.terms) else nf
 
 
 def check_generating_set(r, probe_level_max):
@@ -302,30 +271,28 @@ def check_generating_set(r, probe_level_max):
     opposite orientation and comparing every settled normal form. A probe
     level below 1 probes nothing and is a ValueError.
     """
-    _check_probe(probe_level_max)
-    p = r.p
-    rules = r.rule_map()
-    alt = reduce_system(r.bundle, orientation="low")
-    alt_rules = alt.rule_map()
+    p = r.bundle.p
     # every multiset of positive indices of weighted level 1..probe_level_max
-    probes = [m for m in _abs_monomials(probe_level_max, probe_level_max) if m[0] > 0]
+    probes = [m for m in _probes(probe_level_max, probe_level_max) if m[0] > 0]
+    alt = reduce_system(r.bundle, orientation="low")
+
+    def high(m):
+        return max(m) >= p
+
     reduced = []
     undecided = []
     confluent = True
     for m in probes:
-        nf = reduce_value(TraceValue({m: rf_int(1)}), rules)
-        stuck = any(mm != () and max(mm) >= p for mm in nf.terms)
-        nf_alt = reduce_value(TraceValue({m: rf_int(1)}), alt_rules)
-        stuck_alt = any(mm != () and max(mm) >= p for mm in nf_alt.terms)
-        if stuck or stuck_alt:
+        nf = _normal_form(m, r.rules, high)
+        nf_alt = _normal_form(m, alt.rules, high)
+        if nf is None or nf_alt is None:
             undecided.append(mono_str(m))
             continue
-        if not (nf == nf_alt):
-            confluent = False
+        confluent = confluent and nf == nf_alt
         reduced.append((mono_str(m), str(nf)))
     return {
         "p": p,
-        "k_max": r.k_max,
+        "k_max": r.bundle.k_max,
         "probe_level_max": probe_level_max,
         "checked": len(probes),
         "reduced": reduced,
@@ -336,13 +303,12 @@ def check_generating_set(r, probe_level_max):
     }
 
 
-def _window(p):
-    """Indices j with -p <= 2j < p, j != 0."""
-    return tuple(j for j in range(-p, p) if j != 0 and 2 * j >= -p and 2 * j < p)
+def _probes(level_max, idx_max):
+    """Multisets of nonzero indices, |j| <= idx_max, total |weight| <= level_max.
 
-
-def _abs_monomials(level_max, idx_max):
-    """Multisets of nonzero indices, |j| <= idx_max, total |weight| <= level_max."""
+    A level_max below 1 probes nothing, which would read as a pass: ValueError."""
+    if level_max < 1:
+        raise ValueError("probe level %d checks nothing; need probe >= 1" % level_max)
     out = set()
 
     def rec(prefix, rest, choices):
@@ -358,19 +324,23 @@ def _abs_monomials(level_max, idx_max):
     return sorted(out, key=lambda m: (sum(abs(j) for j in m), m))
 
 
-def candidate_basis_experiment(p, probe_level_max, k_max):
+def candidate_basis_experiment(r, probe_level_max):
     """Join both exponent sides and test the split-window basis candidate.
 
-    The window keeps indices j with -p/2 <= j < p/2. Every relation from
-    both sides is oriented to rewrite the monomial whose largest absolute
-    index lies outside the window (ties prefer the positive index, then
-    higher weight). The report says whether all probed monomials with
+    r is the reduced positive system; its bundle gives p, k_max and the
+    positive rows, and the negative bundle is generated here. The window
+    keeps indices j with -p/2 <= j < p/2. Every relation from both sides
+    is oriented to rewrite the monomial whose largest absolute index lies
+    outside the window (ties prefer the positive index, then higher
+    weight). The report says whether all probed monomials with
     |index| <= p close into the window and whether any relation survives
     purely among window monomials, which would refute independence.
     A probe level below 1 probes nothing and is a ValueError.
     """
-    _check_probe(probe_level_max)
-    win = set(_window(p))
+    b = r.bundle
+    p, k_max = b.p, b.k_max
+    probes = _probes(probe_level_max, p)
+    win = {j for j in range(-p, p) if j != 0 and -p <= 2 * j < p}
 
     def outside(m):
         return any(j not in win for j in m)
@@ -382,17 +352,14 @@ def candidate_basis_experiment(p, probe_level_max, k_max):
         shape = tuple(sorted(((abs(j), int(j > 0)) for j in m), reverse=True))
         return (mx, pos, sum(abs(j) for j in m), shape)
 
-    residuals = [e.residual() for e in generate_system(p, k_max, "+").equations]
+    residuals = [e.residual() for e in b.equations]
     residuals += [e.residual() for e in generate_system(p, k_max, "-").equations]
-    rules, order, redundant, leftovers = _reduce_rows(
-        residuals, eligible=outside, key=abs_key, reverse=True
-    )
-    probes = _abs_monomials(probe_level_max, p)
+    rules, redundant, leftovers = _reduce_rows(residuals, outside, abs_key, reverse=True)
     closed = []
     undecided = []
     for m in probes:
-        nf = reduce_value(TraceValue({m: rf_int(1)}), rules)
-        if any(mm != () and outside(mm) for mm in nf.terms):
+        nf = _normal_form(m, rules, outside)
+        if nf is None:
             undecided.append(mono_str(m))
         else:
             closed.append((mono_str(m), str(nf)))
@@ -402,7 +369,7 @@ def candidate_basis_experiment(p, probe_level_max, k_max):
         "k_max": k_max,
         "probe_level_max": probe_level_max,
         "window": sorted(win),
-        "rules": [(mono_str(h), str(rules[h])) for h in order],
+        "rules": [(mono_str(h), str(v)) for h, v in rules.items()],
         "redundant": redundant,
         "checked": len(probes),
         "closed": closed,

@@ -679,6 +679,11 @@ def suite_theorem9(p=3, k=3):
 def suite_prop2(p=None, k=3):
     """Exponent-flipped sources trace into the image of the flip map."""
     p_list = (2, 3) if p is None else (_at_least("prop2", "p", p, 0),)
+
+    def words(kk):
+        return [w.as_word() for m in enumerate_level(kk, "+") for w in (m, m.flip())]
+
+    _at_most("prop2", "k", k, lambda kk: [x for w in words(kk) for x in w.letters])
     failures = []
     checked = 0
     for kk in range(0, int(k) + 1):
@@ -715,7 +720,15 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
     n = _at_least("flip", "n", n, 2)
     p_list = (2, 3, 4) if p is None else (_at_least("flip", "p", p, 1),)
     exponents = (-2, -1, 1, 2)  # every loop power the seeded words can draw must fit
+
+    def images(pp, kk):
+        return [bbm_image(m, sign, pp) for m in enumerate_level(-kk, "-") for sign in (1, -1)]
+
     _at_most("flip", "n", n, lambda nn: [("loop", nn - 1, e) for e in exponents])
+    # f(image) inverts the image's loop powers, and no index allows fewer positive powers
+    _at_most(
+        "flip", "k", k, lambda v: [x for pp in p_list for w in images(pp, v) for x in w.letters]
+    )
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -738,9 +751,8 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
         check("random-word", MixedBraidWord(nn, tuple(letters)))
     for pp in p_list:
         for kk in range(0, int(k) + 1):
-            for m in enumerate_level(-kk, "-"):
-                for sign in (1, -1):
-                    check("band-move-image", bbm_image(m, sign, pp))
+            for w in images(pp, kk):
+                check("band-move-image", w)
     notes = [
         "checked, not proved: the identity follows from the uniqueness of"
         " the trace once the loop rule for f(t_n')^k is settled.",

@@ -198,6 +198,7 @@ class LoopMonomial(_Value):
     __slots__ = ("entries", "primed")
 
     def __init__(self, entries, primed=False):
+        entries = tuple(entries)
         last = -1
         for idx, exp in entries:
             if idx <= last:
@@ -205,7 +206,7 @@ class LoopMonomial(_Value):
             if exp == 0:
                 raise WordError("zero exponent in loop monomial")
             last = idx
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "primed", primed)
 
     @property

@@ -151,7 +151,7 @@ def test_c10_reduction_anchors():
     t0 = time.monotonic()
     for p in (2, 3):
         r = reduce_system(generate_system(p, 3, "+"))
-        rm = r.rule_map()
+        rm = r.rules
         assert rm[(p,)] == TraceValue({(): RF_ONE})
         assert rm[(p + 1,)] == TraceValue({(1,): RF_ONE})
         # solved shape s_{p+2} = A1 s_2 + A2 s_1^2 with A1 = z/N, A2 = (1-q)/N,

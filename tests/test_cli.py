@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from heckeb import algebra, cli
+from heckeb import algebra, cli, lens, verify
 
 
 def run(capsys, *argv):
@@ -243,17 +243,22 @@ def test_verify_rejects_suites_that_check_nothing(capsys, argv, err):
         (("lemma3", "--n", "4", "--k", "6"), "suite lemma3 needs k <= 3 at n = 4"),
         (("flip", "--n", "7", "--samples", "20", "--k", "0"), None),
         (("flip", "--n", "8"), "suite flip needs n <= 7"),
+        # prop2 flips its sources and flip traces negative band move images;
+        # from these k on they would build t5^-4
+        (("prop2", "--k", "9"), "suite prop2 needs k <= 8"),
+        (("flip", "--k", "8"), "suite flip needs k <= 7"),
     ],
 )
 def test_verify_bounds_suite_parameters_by_loop_powers(capsys, monkeypatch, argv, err):
     # past algebra.LOOP_POWER_MAX the suites would build a word the engine
     # refuses; the refusal names the suite parameter and comes before any
-    # multiplication
+    # trace or multiplication
     if err is not None:
 
         def no_work(*args):
-            raise AssertionError("multiplied before refusing")
+            raise AssertionError("worked before refusing")
 
+        monkeypatch.setattr(verify, "trace_of_word", no_work)
         monkeypatch.setattr(algebra, "rmul_sigma", no_work)
         monkeypatch.setattr(algebra, "rmul_axis", no_work)
     code, out, got = run(capsys, "verify", "--suite", *argv)
@@ -262,6 +267,20 @@ def test_verify_bounds_suite_parameters_by_loop_powers(capsys, monkeypatch, argv
         assert out.startswith("%s: PASS" % argv[0])
     else:
         assert (code, out, got) == (1, "", "error: %s\n" % err)
+
+
+def test_experiment_generates_each_side_once(capsys, monkeypatch):
+    sides = []
+    generate_system = lens.generate_system
+
+    def counted(p, k_max, side="+"):
+        sides.append(side)
+        return generate_system(p, k_max, side)
+
+    monkeypatch.setattr(lens, "generate_system", counted)
+    code, out, _ = run(capsys, "experiment", "--p", "2", "--probe", "2")
+    assert code == 0 and out.startswith("generating-set probe: p=2")
+    assert sorted(sides) == ["+", "-"]
 
 
 def test_stdin_word(capsys, monkeypatch):

@@ -171,7 +171,7 @@ def test_reduce_rejects_negative_side():
 
 def test_reduce_p2_heads_and_anchors():
     r = reduce_system(generate_system(2, 3, "+"))
-    heads = [rule.head for rule in r.rules]
+    heads = list(r.rules)
     assert heads == [
         (2,),
         (3,),
@@ -187,7 +187,7 @@ def test_reduce_p2_heads_and_anchors():
         (1, 2, 2),
         (1, 1, 1, 2),
     ]
-    rm = r.rule_map()
+    rm = r.rules
     assert rm[(2,)] == TraceValue({(): RF_ONE})
     assert rm[(3,)] == TraceValue({(1,): RF_ONE})
     c12 = (
@@ -206,7 +206,7 @@ def test_reduce_p2_heads_and_anchors():
 
 def test_reduce_p3_anchors():
     r = reduce_system(generate_system(3, 3, "+"))
-    rm = r.rule_map()
+    rm = r.rules
     assert rm[(3,)] == TraceValue({(): RF_ONE})
     assert rm[(4,)] == TraceValue({(1,): RF_ONE})
     assert rm[(5,)] == TraceValue({(2,): Z / N, (1, 1): (RF_ONE - Q) / N})
@@ -218,7 +218,7 @@ def test_reduce_p3_anchors():
 def test_rule_values_are_head_free():
     for p in (2, 3):
         r = reduce_system(generate_system(p, 3, "+"))
-        rm = r.rule_map()
+        rm = r.rules
         for head, value in rm.items():
             for mono in value.terms:
                 assert mono not in rm, (head, mono)
@@ -226,12 +226,27 @@ def test_rule_values_are_head_free():
 
 def test_reduce_value_idempotent():
     r = reduce_system(generate_system(2, 3, "+"))
-    rm = r.rule_map()
+    rm = r.rules
     v = reduce_value(TraceValue({(2, 2): RF_ONE}), rm)
     assert v == rm[(2, 2)]
     assert reduce_value(v, rm) == v
     untouched = TraceValue({(1, 1): Q})
     assert reduce_value(untouched, rm) == untouched
+
+
+def test_reduce_value_refuses_a_value_that_mentions_a_head():
+    # a cyclic map never settles under repeated substitution; one pass
+    # sees the head in the substituted value and stops
+    rules = {(2,): TraceValue({(3,): RF_ONE}), (3,): TraceValue({(2,): RF_ONE})}
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=r"^rule for s\[2\] mentions head s\[3\]$"):
+        reduce_value(TraceValue({(2,): RF_ONE}), rules)
+    assert time.monotonic() - t0 < 1
+
+
+def test_reduce_rejects_unknown_orientation():
+    with pytest.raises(ValueError, match="'hgih'"):
+        reduce_system(generate_system(2, 2, "+"), orientation="hgih")
 
 
 def test_reduced_system_to_json():
@@ -266,7 +281,7 @@ def test_check_generating_set_small_moduli():
 
 
 def test_candidate_basis_experiment_p2():
-    win = candidate_basis_experiment(2, 2, 2)
+    win = candidate_basis_experiment(reduce_system(generate_system(2, 2, "+")), 2)
     assert win["window"] == [-1]
     assert win["checked"] == 7
     assert win["undecided"] == ["s[1]s[1]"]
@@ -282,7 +297,7 @@ def test_candidate_basis_experiment_p2():
 
 
 def test_candidate_basis_experiment_p3():
-    win = candidate_basis_experiment(3, 2, 2)
+    win = candidate_basis_experiment(reduce_system(generate_system(3, 2, "+")), 2)
     assert win["window"] == [-1, 1]
     assert win["checked"] == 7
     assert win["undecided"] == []

@@ -87,6 +87,17 @@ def _commands(name):
         return out
     if name == "experiment":
         return [("experiment", "--p", "2", "--probe", "2")]
+    if name == "systems-k4":
+        return [
+            argv + fmt
+            for argv in (
+                ("reduce", "--p", "3", "--k-max", "4"),
+                ("reduce", "--p", "4", "--k-max", "4"),
+                ("experiment", "--p", "3", "--probe", "3"),
+                ("experiment", "--p", "2", "--probe", "3", "--k-max", "4"),
+            )
+            for fmt in ((), ("--format", "json"))
+        ]
     if name in ("verify", "verify-broken"):
         return [
             ("verify", "--suite") + args + fmt
@@ -143,6 +154,7 @@ DIGESTS = {
     "order": "1cc7b7cb900ac5133d0f84983f7966396cc9f2bc78b1569fa34331aa554f7fa0",
     "invariant": "515b5ade4dc387d47e10cbfe2ce0c58c75b3f7e581b4596427f37b1b4e0dbec0",
     "systems": "f61d49c8357f50836cfa1d30bf250cc591441fa4d4c1e37d5b3d4fa832d617d3",
+    "systems-k4": "a007943766452ee87ec550218d7df1d1c822c4eba5223da954fb7042e1eb29fb",
     "experiment": "30f595449b4d1e70d16167e77559007bfcb653dd55581b2a3543996f9eafbbb7",
     "verify": "c98811495586391d85291cc1f6a29d220e81cb1f5a8a401ffcae0fe8c8e04277",
     "verify-broken": "5de7cc09cc92706fd7363643fe2b85b15418d553f49be5f846de335ef47b4335",
@@ -160,5 +172,5 @@ def test_order_covers_every_pair_of_level_3_words():
 
 
 if __name__ == "__main__":
-    for key in ("order", "invariant", "systems", "experiment", "verify", "verify-broken"):
+    for key in sorted(DIGESTS):
         print("    %r: %r," % (key, _current(key)))

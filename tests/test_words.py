@@ -108,6 +108,8 @@ def test_loop_monomial_validation():
         LoopMonomial(((0, 0),))
     with pytest.raises(WordError, match="^loop indices must increase strictly$"):
         LoopMonomial(((-1, 1),))
+    with pytest.raises(WordError, match="^loop indices must increase strictly$"):
+        LoopMonomial(x for x in [(1, 1), (1, 2)])
 
 
 def test_loop_monomial_shape():
@@ -119,6 +121,8 @@ def test_loop_monomial_shape():
     assert LoopMonomial(((0, 1), (1, -2))).flip().entries == ((0, -1), (1, 2))
     assert LoopMonomial(()).top_index == -1
     assert LoopMonomial(()).gap_free
+    # entries are read once, so a generator gives the same monomial
+    assert LoopMonomial(x for x in [(0, 1), (1, 2)]).entries == ((0, 1), (1, 2))
 
 
 def test_value_types_compare_and_hash_by_fields():
