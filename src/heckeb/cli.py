@@ -212,10 +212,12 @@ def _cmd_experiment(args):
     from .lens import (
         candidate_basis_experiment,
         check_generating_set,
+        check_probe_level,
         generate_system,
         reduce_system,
     )
 
+    check_probe_level(args.probe)
     k_max = args.k_max if args.k_max is not None else args.probe
     r = reduce_system(generate_system(args.p, k_max, "+"))
     gen = check_generating_set(r, args.probe)

@@ -165,10 +165,10 @@ def reduce_value(tv, rules):
         if value is None:
             out.add_term(m, c)
             continue
-        for mm, cc in value.terms.items():
+        for mm in value.terms:
             if mm in rules:
                 raise ValueError("rule for %s mentions head %s" % (mono_str(m), mono_str(mm)))
-            out.add_term(mm, cc * c)
+        out.add_scaled(value, c)
     return out
 
 
@@ -198,8 +198,7 @@ def _reduce_rows(residuals, eligible, key, reverse):
         for cur in rules.values():
             coef = cur.terms.pop(head, None)
             if coef is not None:
-                for m, c in value.terms.items():
-                    cur.add_term(m, c * coef)
+                cur.add_scaled(value, coef)
         rules[head] = value
     return rules, redundant, leftovers
 
@@ -303,12 +302,16 @@ def check_generating_set(r, probe_level_max):
     }
 
 
-def _probes(level_max, idx_max):
-    """Multisets of nonzero indices, |j| <= idx_max, total |weight| <= level_max.
+def check_probe_level(level):
+    """A probe level below 1 probes nothing, which would read as a pass:
+    ValueError."""
+    if level < 1:
+        raise ValueError("probe level %d checks nothing; need probe >= 1" % level)
 
-    A level_max below 1 probes nothing, which would read as a pass: ValueError."""
-    if level_max < 1:
-        raise ValueError("probe level %d checks nothing; need probe >= 1" % level_max)
+
+def _probes(level_max, idx_max):
+    """Multisets of nonzero indices, |j| <= idx_max, total |weight| <= level_max."""
+    check_probe_level(level_max)
     out = set()
 
     def rec(prefix, rest, choices):

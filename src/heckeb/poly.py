@@ -60,12 +60,6 @@ def psub(a, b):
     return out
 
 
-def pscale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def pshift(a, qe, ze):
     if not qe and not ze:
         return dict(a)

@@ -13,22 +13,26 @@ TAOCP vol. 2, 4.5.1), because their inputs are already reduced:
 
   * a/b * c/d cancels gcd(a, d) and gcd(c, b) first; the product of the
     cofactors is then reduced. Division multiplies by d/c.
+  * many fractions x_i = n_i/d_i times one a/b (rf_scale_terms) cancel
+    gcd(a, d_i) once per distinct denominator d_i, and gcd(n_i, b) per
+    term, none when b = 1. The rules of a band-move system share a few
+    denominators, mostly powers of N = z+1-q.
   * a/b +- c/d with g = gcd(b, d) forms t = a (d/g) +- c (b/g) over
     b (d/g); only gcd(t, g) can cancel. When a denominator is 1, or b
     and d are coprime, no gcd is taken at all; when b = d, g = b.
   * powers are powers of num and den, which stay coprime.
 
-Each cancellation is one call of P.pgcd, which returns the cofactors
-a/g and b/g with the gcd, so no exact division follows it. A gcd
-against a monomial reduces to an integer gcd of contents, because
-monomials are units.
+A cancellation calls P.pgcd, which returns the cofactors a/g and b/g
+with the gcd, so no exact division follows it. A gcd against a monomial
+reduces to an integer gcd of contents, because monomials are units.
 
 The module also provides the loop-removal constant lam = (z+1-q)/(qz),
-the variable substitution map q -> q^{-1}, z -> lam*z (invmap), which is
-an involution on the field, and the closure scalars d^m w^e in closed
-form (delta_pow). The framing unit w has w^2 = lam and is not in the
-field, so a closure scalar is a fraction r with a parity bit: r w^0 or
-r w^1. The normalization constant d = w q/(z+1-q) has d w = 1/z.
+the variable substitution map q -> q^{-1}, z -> lam*z (rf_invmap), which
+is an involution on the field and takes at most one gcd per fraction,
+and the closure scalars d^m w^e in closed form (delta_pow). The framing
+unit w has w^2 = lam and is not in the field, so a closure scalar is a
+fraction r with a parity bit: r w^0 or r w^1. The normalization
+constant d = w q/(z+1-q) has d w = 1/z.
 """
 
 import math
@@ -191,6 +195,31 @@ class RatFunc:
         return {"num": P.pformat(self.num), "den": P.pformat(self.den)}
 
 
+def rf_scale_terms(terms, f):
+    """Yield (key, x * f) for every item of the dict terms, f nonzero.
+
+    The products are those of x * f, but with f = a/b, gcd(a, d) is taken
+    once per distinct denominator d of the x, and gcd(n, b) once per
+    numerator n, not at all when b = 1.
+    """
+    a, b = f.num, f.den
+    b_one = b == P.PONE
+    by_den = {}
+    for key, x in terms.items():
+        n, d = x.num, x.den
+        if not n:
+            yield key, RatFunc({})
+            continue
+        dkey = frozenset(d.items())
+        cof = by_den.get(dkey)
+        if cof is None:
+            cof = by_den[dkey] = _cancel(a, d)
+        bn = b
+        if not b_one:
+            n, bn, _ = _cancel(n, b)
+        yield key, RatFunc._reduced(P.pmul(n, cof[0]), P.pmul(cof[1], bn))
+
+
 def rf_int(c):
     return RatFunc(P.pconst(c))
 
@@ -221,35 +250,53 @@ def rf_z():
     return rf_mono(1, 0, 1)
 
 
-def invmap_poly(a):
-    """Apply q -> q^{-1}, z -> (z+1-q)/q to a Laurent polynomial.
+# N^0, N^1, ...: grown on demand by _n_power and only read, so no entry
+# is handed to a caller
+_N_POWERS = [P.PONE]
 
-    z^b picks up N^b with N = z+1-q; negative b values are cleared by a
-    common power of N in the denominator.
+
+def _n_power(k):
+    while len(_N_POWERS) <= k:
+        _N_POWERS.append(P.pmul(_N_POWERS[-1], big_n()))
+    return _N_POWERS[k]
+
+
+def _invmap_poly(a):
+    """(A, s) with a(1/q, N/q) = A / N^s for a nonzero polynomial a.
+
+    z -> N/q is z -> lam*z. s = max(0, -least z-exponent of a), and the
+    term c q^i z^j becomes c q^(-i-j) N^(j+s) / N^s.
     """
-    if not a:
-        return RF_ZERO
-    bmin = min(ze for _, ze in a)
-    shift = max(0, -bmin)
-    n = big_n()
-    # cache powers of N up to the largest needed; the denominator uses
-    # N^shift even when every z-exponent is negative
-    bmax = max(ze for _, ze in a)
-    top = max(bmax + shift, shift)
-    pows = [P.pconst(1)]
-    for _ in range(top):
-        pows.append(P.pmul(pows[-1], n))
-    num = {}
+    s = max(0, -min(ze for _, ze in a))
+    out = {}
     for (qe, ze), c in a.items():
-        term = P.pshift(pows[ze + shift], -qe - ze, 0)
-        num = P.padd(num, P.pscale(term, c))
-    den = pows[shift] if shift else P.pconst(1)
-    return RatFunc(num, dict(den))
+        shift = -qe - ze
+        for (nq, nz), nc in _n_power(ze + s).items():
+            k = (nq + shift, nz)
+            v = out.get(k, 0) + c * nc
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out, s
 
 
 def rf_invmap(r):
-    """The involution q -> q^{-1}, z -> lam*z on a RatFunc."""
-    return invmap_poly(r.num) / invmap_poly(r.den)
+    """The involution q -> q^{-1}, z -> lam*z on a RatFunc.
+
+    num/den maps to A_num N^(s_den) / (A_den N^(s_num)) in the notation
+    of _invmap_poly. The common power of N is dropped, and the
+    constructor's one gcd reduces the rest.
+    """
+    if not r.num:
+        return RatFunc({})
+    num, s_num = _invmap_poly(r.num)
+    den, s_den = _invmap_poly(r.den)
+    if s_den > s_num:
+        num = P.pmul(num, _n_power(s_den - s_num))
+    elif s_num > s_den:
+        den = P.pmul(den, _n_power(s_num - s_den))
+    return RatFunc(num, den)
 
 
 def delta_pow(m, e=0):

@@ -47,6 +47,7 @@ from .scalars import (
     lam_pow,
     rf_invmap,
     rf_mono,
+    rf_scale_terms,
 )
 from .words import (
     LoopMonomial,
@@ -199,7 +200,14 @@ class TraceValue:
     def scale(self, r):
         if r.is_zero():
             return TraceValue.zero()
-        return TraceValue({m: c * r for m, c in self.terms.items()})
+        return TraceValue(dict(rf_scale_terms(self.terms, r)))
+
+    def add_scaled(self, other, r):
+        """self += r * other, in place."""
+        if r.is_zero():
+            return
+        for m, c in rf_scale_terms(other.terms, r):
+            self.add_term(m, c)
 
     def coeff(self, m):
         return self.terms.get(tuple(sorted(m)), RF_ZERO)

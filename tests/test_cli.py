@@ -160,6 +160,16 @@ def test_experiment_rejects_probe_that_checks_nothing(capsys, probe):
     assert err.startswith("error: probe level %s checks nothing" % probe), err
 
 
+def test_experiment_checks_the_probe_before_generating(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generated a system for a probe that checks nothing")
+
+    monkeypatch.setattr(lens, "generate_system", refuse)
+    code, out, err = run(capsys, "experiment", "--p", "2", "--probe", "0", "--k-max", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: probe level 0 checks nothing"), err
+
+
 def test_loop_exponent_limit_exits_1(capsys):
     # t1'^K t swaps t1'^K past the axis through t1^K, built one unit of K
     # at a time; |K| = 64 is the largest accepted

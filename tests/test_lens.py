@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from heckeb import poly
 from heckeb.algebra import project_braid
 from heckeb.lens import (
     back_substitution_check,
@@ -242,6 +243,24 @@ def test_reduce_value_refuses_a_value_that_mentions_a_head():
     with pytest.raises(ValueError, match=r"^rule for s\[2\] mentions head s\[3\]$"):
         reduce_value(TraceValue({(2,): RF_ONE}), rules)
     assert time.monotonic() - t0 < 1
+
+
+def test_elimination_gcd_count(monkeypatch):
+    # A work guard: the rules share a few denominators, and a product of
+    # many fractions by one fraction cancels against each denominator once.
+    # Cancelling per term took 2839 gcds here (1 to generate, 2169 to
+    # reduce, 669 to back-substitute); the batched products take 2345.
+    calls = []
+    pgcd = poly.pgcd
+
+    def counted(a, b):
+        calls.append(1)
+        return pgcd(a, b)
+
+    monkeypatch.setattr(poly, "pgcd", counted)
+    r = reduce_system(generate_system(3, 4, "+"))
+    assert back_substitution_check(r) == []
+    assert len(calls) <= 2345
 
 
 def test_reduce_rejects_unknown_orientation():

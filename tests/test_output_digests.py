@@ -98,6 +98,18 @@ def _commands(name):
             )
             for fmt in ((), ("--format", "json"))
         ]
+    if name == "lens-k4":
+        return [
+            argv + fmt
+            for argv in (
+                ("mirror", "--p", "2", "--k-max", "4"),
+                ("mirror", "--p", "3", "--k-max", "4"),
+                ("mirror", "--p", "4", "--k-max", "4"),
+                ("gen-system", "--side", "-", "--p", "3", "--k-max", "4"),
+                ("reduce", "--p", "2", "--k-max", "5"),
+            )
+            for fmt in ((), ("--format", "json"))
+        ]
     if name in ("verify", "verify-broken"):
         return [
             ("verify", "--suite") + args + fmt
@@ -155,6 +167,7 @@ DIGESTS = {
     "invariant": "515b5ade4dc387d47e10cbfe2ce0c58c75b3f7e581b4596427f37b1b4e0dbec0",
     "systems": "f61d49c8357f50836cfa1d30bf250cc591441fa4d4c1e37d5b3d4fa832d617d3",
     "systems-k4": "a007943766452ee87ec550218d7df1d1c822c4eba5223da954fb7042e1eb29fb",
+    "lens-k4": "77f4cc61568b778656a81d17418a11342e743bbaee67c10dbc1309673ccefcd1",
     "experiment": "30f595449b4d1e70d16167e77559007bfcb653dd55581b2a3543996f9eafbbb7",
     "verify": "c98811495586391d85291cc1f6a29d220e81cb1f5a8a401ffcae0fe8c8e04277",
     "verify-broken": "5de7cc09cc92706fd7363643fe2b85b15418d553f49be5f846de335ef47b4335",

@@ -51,8 +51,8 @@ def test_mul_ring_laws():
 def test_shift_scale_pow():
     a = {(0, 0): 1, (1, 2): -3}
     assert P.pshift(a, 2, -1) == {(2, -1): 1, (3, 1): -3}
-    assert P.pscale(a, -2) == {(0, 0): -2, (1, 2): 6}
-    assert P.pscale(a, 0) == {}
+    assert P.pmul(a, P.pconst(-2)) == {(0, 0): -2, (1, 2): 6}
+    assert P.pmul(a, P.pconst(0)) == {}
     sq = P.pmul(a, a)
     assert P.ppow(a, 2) == sq
     assert P.ppow(a, 0) == P.PONE
@@ -147,6 +147,10 @@ def _planted_factor(rng, i):
     return {(0, 0): 1}
 
 
+def _scale(a, c):
+    return P.pmul(a, P.pconst(c))
+
+
 def test_gcd_and_division_match_prs():
     rng = random.Random(16)
     pairs = 0
@@ -158,8 +162,8 @@ def test_gcd_and_division_match_prs():
         b = rand_poly(rng, terms=3, lo=lo, hi=hi)
         if not a or not b:
             continue
-        a = P.pscale(P.pmul(a, f), rng.choice([1, 1, 3, 6, -2]))
-        b = P.pscale(P.pmul(b, f), rng.choice([1, 3, 9]))
+        a = _scale(P.pmul(a, f), rng.choice([1, 1, 3, 6, -2]))
+        b = _scale(P.pmul(b, f), rng.choice([1, 3, 9]))
         g = _assert_gcd(a, b)
         _assert_gcd(b, a)
         assert P.pdivexact(a, f) == _ref_divexact(a, f)
@@ -230,18 +234,18 @@ def test_gcd_cofactors_on_every_branch():
         ({(2, 1): 6}, {(0, 0): 4, (1, 3): -2}),
         ({(-1, 0): -5}, {(0, 0): 3, (1, 0): 1}),
         # equal primitive parts, one shifted, with contents 3 and 6
-        (P.pshift(P.pscale(qm1, 3), 1, -2), P.pscale(qm1, 6)),
+        (P.pshift(_scale(qm1, 3), 1, -2), _scale(qm1, 6)),
         # equal primitive parts whose lex-greatest term is negative, so
         # the gcd's sign flips and both cofactors are negative constants
-        (P.pscale(qm1, -3), P.pscale(P.pshift(qm1, 0, 2), -6)),
+        (_scale(qm1, -3), _scale(P.pshift(qm1, 0, 2), -6)),
         # the heuristic, with negative contents and a common factor
-        (P.pscale(P.pmul(qm1, u), -4), P.pscale(P.pmul(qm1, v), -6)),
-        (P.pscale(P.pmul(P.pneg(qm1), u), 2), P.pmul(qm1, v)),
+        (_scale(P.pmul(qm1, u), -4), _scale(P.pmul(qm1, v), -6)),
+        (_scale(P.pmul(P.pneg(qm1), u), 2), P.pmul(qm1, v)),
     ]
     for a, b in cases:
         _assert_gcd(a, b)
         _assert_gcd(b, a)
-    g, fa, fb = P.pgcd(P.pscale(qm1, -3), P.pscale(qm1, -6))
+    g, fa, fb = P.pgcd(_scale(qm1, -3), _scale(qm1, -6))
     assert (g, fa, fb) == ({(1, 0): 3, (0, 0): -3}, {(0, 0): -1}, {(0, 0): -2})
 
 

@@ -9,12 +9,12 @@ from heckeb.scalars import (
     RatFunc,
     big_n,
     delta_pow,
-    invmap_poly,
     lam,
     lam_pow,
     rf_int,
     rf_invmap,
     rf_mono,
+    rf_scale_terms,
     rf_z,
 )
 
@@ -143,20 +143,74 @@ def test_invmap_negative_z_exponents():
     assert rf_invmap(rf_invmap(mixed)) == mixed
 
 
-def test_invmap_poly_matches_substitution():
-    # z -> lam * z performed on a polynomial must agree with field arithmetic
+def _substituted(a):
+    """a(1/q, lam z) term by term in field arithmetic."""
+    out = RF_ZERO
+    for (qe, ze), c in a.items():
+        out = out + rf_mono(c, -qe, 0) * (lam() * rf_z()) ** ze
+    return out
+
+
+def test_invmap_matches_substitution():
+    # q -> 1/q, z -> lam z on num and den, divided in the field, against
+    # the one-gcd rf_invmap
     rng = random.Random(23)
-    for _ in range(30):
-        a = {}
-        for _ in range(4):
-            c = rng.randint(-4, 4)
-            if c:
-                a[(rng.randint(-2, 2), rng.randint(0, 3))] = c
-        out = invmap_poly(a)
-        direct = RF_ZERO
-        for (qe, ze), c in a.items():
-            direct = direct + rf_mono(c, -qe, 0) * lam_pow(ze) * rf_z() ** ze
-        assert out == direct
+    n = RatFunc(big_n())
+    values = [
+        RF_ZERO,
+        RF_ONE,
+        rf_int(-6),
+        rf_mono(3, -2, -3) + rf_mono(1, 0, -1),  # negative z exponents, den 1
+        rf_mono(2, 1, 2) / (n * n),
+        n ** 3 / rf_mono(4, 1, 1),
+        (rf_int(1) - rf_mono(1, 1, 0)) / (rf_z() ** 2 + rf_int(3)),
+    ] + [rand_rf(rng) for _ in range(40)]
+    for r in values:
+        want = RF_ZERO
+        if not r.is_zero():
+            want = _substituted(r.num) / _substituted(r.den)
+        out = rf_invmap(r)
+        assert out == want, r
+        assert_canonical(out)
+        assert rf_invmap(out) == r
+
+
+def _shared_den_values(rng):
+    """Fractions over a few shared denominators (1, a monomial, N^k and
+    products, two of them with equally many terms), some with a factor N
+    in the numerator, some zero."""
+    n = RatFunc(big_n())
+    dens = [RF_ONE, rf_mono(1, 1, 2), n, n ** 3, n * n * rf_mono(1, 0, 1)]
+    dens += [(rf_int(1) + rf_mono(2, 1, 0)) * n, (rf_int(1) - rf_mono(2, 0, 1)) * n]
+    tops = [RF_ONE, n, rf_int(2) * n * n]
+    return [
+        RatFunc(rand_rf(rng, span=1).num) * rng.choice(tops) / rng.choice(dens)
+        for _ in range(12)
+    ]
+
+
+def test_scale_terms_match_term_by_term_products():
+    rng = random.Random(26)
+    n = RatFunc(big_n())
+    factors = [
+        RF_ONE,
+        rf_int(-3),
+        rf_mono(2, -1, 1),
+        n,
+        n.inverse() * rf_int(2),
+        (rf_z() - RF_ONE) / (n * n),
+        (rf_int(1) + rf_mono(2, 1, 0)) / (rf_z() + rf_int(3)),
+    ]
+    for _ in range(20):
+        terms = dict(enumerate(_shared_den_values(rng)))
+        for f in factors + [rand_rf(rng)]:
+            if f.is_zero():
+                continue
+            out = dict(rf_scale_terms(terms, f))
+            assert list(out) == list(terms)
+            for i, x in terms.items():
+                assert out[i] == x * f
+                assert_canonical(out[i])
 
 
 def test_closure_scalar_grid():

@@ -127,6 +127,39 @@ def test_trace_value_ordering():
     assert str(tv) == "s[-1]s[2] + s[1] + s[1]s[2] + s[3]"
 
 
+def test_scale_and_add_scaled_match_term_by_term():
+    # the batched products of scale and add_scaled against RatFunc * and +
+    # one term at a time, on coefficients over shared denominators
+    rng = random.Random(27)
+    n = RF_ONE + Z - Q
+    dens = [RF_ONE, Q * Z, n, n * n, n * n * n * Q, (RF_ONE + Q * Q) * n]
+
+    def coeff():
+        return rf_int(rng.choice((-3, -1, 1, 2))) * rng.choice((RF_ONE, Q, n)) / rng.choice(dens)
+
+    for _ in range(40):
+        a = TraceValue({(j,): coeff() for j in rng.sample(range(1, 8), 4)})
+        keys = rng.sample(range(1, 8), 4) + [rng.choice(list(a.terms))[0]]
+        b = TraceValue({(j,): coeff() for j in keys})
+        b_before = dict(b.terms)
+        shared = next(m for m in b.terms if m in a.terms)
+        # the last factor makes the shared monomial cancel to zero
+        for r in (rng.choice(dens).inverse() * n, coeff(), -a.terms[shared] / b.terms[shared]):
+            assert a.scale(r).terms == {m: c * r for m, c in a.terms.items()}
+            want = dict(a.terms)
+            for m, c in b.terms.items():
+                total = want.get(m, RF_ZERO) + c * r
+                if total.is_zero():
+                    del want[m]
+                else:
+                    want[m] = total
+            got = TraceValue(dict(a.terms))
+            got.add_scaled(b, r)
+            assert got.terms == want
+            assert b.terms == b_before
+        assert shared not in got.terms
+
+
 def test_trace_value_arithmetic():
     a = TraceValue({(1,): Q})
     b = TraceValue({(1,): RF_ONE, (2,): Z})
