@@ -272,10 +272,6 @@ class AlgebraElement:
         self.terms = {} if terms is None else terms
 
     @staticmethod
-    def zero(n):
-        return AlgebraElement(n)
-
-    @staticmethod
     def one(n):
         return AlgebraElement(n, {((), perm_id(n)): P.pconst(1)})
 
@@ -297,13 +293,10 @@ class AlgebraElement:
 
     def scale(self, coeff):
         if not coeff:
-            return AlgebraElement.zero(self.n)
+            return AlgebraElement(self.n)
         return AlgebraElement(
             self.n, {k: P.pmul(v, coeff) for k, v in self.terms.items()}
         )
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -33,7 +33,7 @@ from .trace import (
     mono_level,
     mono_str,
 )
-from .words import enumerate_level
+from .words import enumerate_abs_level, enumerate_level
 
 
 class SystemBundle:
@@ -310,21 +310,12 @@ def check_probe_level(level):
 
 
 def _probes(level_max, idx_max):
-    """Multisets of nonzero indices, |j| <= idx_max, total |weight| <= level_max."""
+    """Multisets of nonzero indices, |j| <= idx_max, total |weight| <= level_max:
+    the exponent tuples of the nonempty ordered loop words, by weight."""
     check_probe_level(level_max)
-    out = set()
-
-    def rec(prefix, rest, choices):
-        for i, j in enumerate(choices):
-            if abs(j) > rest:
-                continue
-            cur = prefix + (j,)
-            out.add(tuple(sorted(cur)))
-            rec(cur, rest - abs(j), choices[i:])
-
-    choices = [j for j in range(-idx_max, idx_max + 1) if j != 0]
-    rec((), level_max, choices)
-    return sorted(out, key=lambda m: (sum(abs(j) for j in m), m))
+    out = [tuple(e for _, e in m.entries) for m in enumerate_abs_level(level_max, level_max)]
+    out = [m for m in out if m and max(map(abs, m)) <= idx_max]
+    return sorted(out, key=lambda m: (sum(map(abs, m)), m))
 
 
 def candidate_basis_experiment(r, probe_level_max):

@@ -118,10 +118,6 @@ class RatFunc:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     __hash__ = None
 
     # -- arithmetic ----------------------------------------------------
@@ -309,7 +305,7 @@ def delta_pow(m, e=0):
     s = m + e
     a = s // 2
     if a >= m:
-        num, den = P.pshift(P.ppow(big_n(), a - m), m - a, -a), P.pconst(1)
+        num, den = P.pshift(_n_power(a - m), m - a, -a), P.pconst(1)
     else:
-        num, den = P.pmono(1, m - a, -a), P.ppow(big_n(), m - a)
+        num, den = P.pmono(1, m - a, -a), dict(_n_power(m - a))
     return RatFunc._reduced(num, den), s % 2

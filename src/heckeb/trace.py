@@ -165,10 +165,6 @@ class TraceValue:
     def from_poly_terms(d):
         return TraceValue({m: RatFunc.from_poly(v) for m, v in d.items()})
 
-    @staticmethod
-    def zero():
-        return TraceValue()
-
     def is_zero(self):
         return not self.terms
 
@@ -185,12 +181,6 @@ class TraceValue:
         else:
             self.terms[m] = s
 
-    def add(self, other):
-        out = TraceValue(dict(self.terms))
-        for m, c in other.terms.items():
-            out.add_term(m, c)
-        return out
-
     def sub(self, other):
         out = TraceValue(dict(self.terms))
         for m, c in other.terms.items():
@@ -199,7 +189,7 @@ class TraceValue:
 
     def scale(self, r):
         if r.is_zero():
-            return TraceValue.zero()
+            return TraceValue()
         return TraceValue(dict(rf_scale_terms(self.terms, r)))
 
     def add_scaled(self, other, r):
@@ -208,9 +198,6 @@ class TraceValue:
             return
         for m, c in rf_scale_terms(other.terms, r):
             self.add_term(m, c)
-
-    def coeff(self, m):
-        return self.terms.get(tuple(sorted(m)), RF_ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, TraceValue):
@@ -346,7 +333,7 @@ def map_index(j, p):
 
 def _map_terms(tv, index):
     """q -> q^{-1}, z -> lam z on the coefficients, s_j -> s_index(j)."""
-    out = TraceValue.zero()
+    out = TraceValue()
     for m, c in tv.terms.items():
         out.add_term(tuple(sorted(index(j) for j in m)), rf_invmap(c))
     return out

@@ -8,7 +8,9 @@ exact; nothing here is numerical.
 
 The checks are built from the engine's own types: words are projected with
 `algebra.project_braid`, axis-tagged traces are `trace.TraceValue`s, and
-`run_suite` passes each suite the parameters its signature names.
+`run_suite` passes each suite the parameters its signature names. Every
+suite counts and records its checks in a `_Ledger`, the one place the
+report format lives.
 """
 
 import functools
@@ -35,7 +37,6 @@ from .words import (
     f_map_word,
     order_key,
     parse_word,
-    word_to_text,
 )
 
 DEFAULT_SEED = 7
@@ -66,23 +67,47 @@ def _at_most(suite, name, value, letters, where=""):
                     )
 
 
-def _report(suite, checked, failures, params, notes=()):
-    """The suite's report; ValueError when it checked nothing, which
-    would otherwise read as a pass."""
-    if not checked:
-        raise ValueError(
-            "suite %s checked nothing at %s"
-            % (suite, ", ".join("%s=%s" % kv for kv in sorted(dict(params).items())))
-        )
-    return {
-        "suite": suite,
-        "passed": not failures,
-        "checked": checked,
-        "failure_count": len(failures),
-        "failures": [dict(f) for f in failures[:8]],
-        "params": {k: str(v) for k, v in dict(params).items()},
-        "notes": list(notes),
-    }
+class _Ledger:
+    """A suite's checked instances and failure records, and its report.
+
+    A failure is a dict of the given fields with every value passed through
+    str, here and only for a failure: pass a word or a monomial itself, not
+    its text.
+    """
+
+    __slots__ = ("checked", "failures")
+
+    def __init__(self):
+        self.checked = 0
+        self.failures = []
+
+    def check(self, ok, **fields):
+        """Count one instance; record a failure of fields unless ok."""
+        self.checked += 1
+        if not ok:
+            self.fail(**fields)
+
+    def fail(self, **fields):
+        """Record a failure without counting an instance."""
+        self.failures.append({k: str(v) for k, v in fields.items()})
+
+    def report(self, suite, params, notes=()):
+        """The suite's report; ValueError when it checked nothing, which
+        would otherwise read as a pass."""
+        if not self.checked:
+            raise ValueError(
+                "suite %s checked nothing at %s"
+                % (suite, ", ".join("%s=%s" % kv for kv in sorted(params.items())))
+            )
+        return {
+            "suite": suite,
+            "passed": not self.failures,
+            "checked": self.checked,
+            "failure_count": len(self.failures),
+            "failures": self.failures[:8],
+            "params": {k: str(v) for k, v in params.items()},
+            "notes": list(notes),
+        }
 
 
 def _qm1(s, j):
@@ -96,7 +121,7 @@ def _letters_el(n, letters):
 
 def _combination(n, terms):
     """Sum of coeff * word over (coeff poly, letter list) pairs."""
-    out = A.AlgebraElement.zero(n)
+    out = A.AlgebraElement(n)
     for coeff, letters in terms:
         out = out.add(_letters_el(n, letters).scale(coeff))
     return out
@@ -117,10 +142,6 @@ def _random_letters(rng, n, length):
     return tuple(letters)
 
 
-def _word_str(n, letters):
-    return word_to_text(MixedBraidWord(n, letters))
-
-
 # -- axis-tagged two-strand traces ---------------------------------------------
 #
 # The band move analysis needs traces of t^a t_1^m g_1^eps with the axis
@@ -129,7 +150,8 @@ def _word_str(n, letters):
 # tuple) instead of s-monomials; they are compared, never printed. The
 # recursion below uses only the quadratic relation and the two-strand loop
 # conversions, and the specialization check in suite_lemma4 pins it to the
-# engine trace. The memoized values are shared: callers must not mutate them.
+# engine trace. The memoized values are shared: only the fresh value a call
+# builds is ever mutated.
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,18 +162,20 @@ def _tag_sig(a, m, eps):
         out.add_term((a, ()), rf_z() if eps > 0 else lam() * rf_z())
     elif eps > 0 and m > 0:
         for j in range(m):
-            out = out.add(_tag_plain(a + j, m - j).scale(RF_Q1 * RF_Q ** j))
+            out.add_scaled(_tag_plain(a + j, m - j), RF_Q1 * RF_Q ** j)
         out.add_term((a + m, ()), RF_Q ** m * rf_z())
     elif eps < 0 and m < 0:
         k = -m
         for j in range(0, -k, -1):
-            out = out.add(_tag_plain(a + j, -k - j).scale(RF_QI1 * RF_Q ** j))
+            out.add_scaled(_tag_plain(a + j, -k - j), RF_QI1 * RF_Q ** j)
         out.add_term((a - k, ()), RF_Q ** (-k - 1) * rf_z() + RF_Q ** (-k) * RF_QI1)
     elif eps > 0:
         # positive braiding on a negative loop: invert the quadratic
-        out = _tag_sig(a, m, -1).scale(RF_Q).add(_tag_plain(a, m).scale(RF_Q1))
+        out.add_scaled(_tag_sig(a, m, -1), RF_Q)
+        out.add_scaled(_tag_plain(a, m), RF_Q1)
     else:
-        out = _tag_sig(a, m, 1).scale(RF_QI).add(_tag_plain(a, m).scale(RF_QI1))
+        out.add_scaled(_tag_sig(a, m, 1), RF_QI)
+        out.add_scaled(_tag_plain(a, m), RF_QI1)
     return out
 
 
@@ -163,13 +187,13 @@ def _tag_plain(a, m):
         out.add_term((a, ()), rf_mono(1))
     elif m > 0:
         for j in range(1, m):
-            out = out.add(_tag_sig(a + j, m - j, 1).scale(RF_Q ** (j - 1) * RF_Q1))
+            out.add_scaled(_tag_sig(a + j, m - j, 1), RF_Q ** (j - 1) * RF_Q1)
         out.add_term((a + m, ()), RF_Q ** (m - 1) * RF_Q1 * rf_z())
         out.add_term((a, (m,)), RF_Q ** m)
     else:
         k = -m
         for j in range(-1, -k, -1):
-            out = out.add(_tag_sig(a + j, -k - j, -1).scale(RF_Q ** (j + 1) * RF_QI1))
+            out.add_scaled(_tag_sig(a + j, -k - j, -1), RF_Q ** (j + 1) * RF_QI1)
         out.add_term((a, (-k,)), RF_Q ** (-k + 1) * RF_QI)
         out.add_term((a - k, ()), RF_Q ** (-k + 1) * RF_QI1 * lam() * rf_z())
     return out
@@ -195,13 +219,16 @@ def tagged_mirror(tv, p):
     return out
 
 
-def _formal_mirror(failures, p, k, eps):
-    """Record a failure unless the tagged trace of t^p t1^-k g1^-eps
-    mirrors to that of t^p t1^k g1^eps."""
-    if tagged_mirror(_tag_sig(p, -k, -eps), p) != _tag_sig(p, k, eps):
-        failures.append(
-            {"check": "formal-mirror", "p": str(p), "k": str(k), "eps": str(eps)}
-        )
+def _formal_mirror(ledger, p, k, eps):
+    """Check that the tagged trace of t^p t1^-k g1^-eps mirrors to that of
+    t^p t1^k g1^eps."""
+    ledger.check(
+        tagged_mirror(_tag_sig(p, -k, -eps), p) == _tag_sig(p, k, eps),
+        check="formal-mirror",
+        p=p,
+        k=k,
+        eps=eps,
+    )
 
 
 # -- suites ---------------------------------------------------------------------
@@ -211,32 +238,21 @@ def suite_relations(n=4, samples=200, seed=DEFAULT_SEED):
     """Defining relations survive random word sandwiches."""
     n = _at_least("relations", "n", n, 2)
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    ledger = _Ledger()
 
     def word_pair(tag, nn, lhs, rhs):
         """prefix lhs suffix == prefix rhs suffix for a random prefix and
         suffix; a side is a letter list or a function of the prefix element."""
-        nonlocal checked
-        a = _random_letters(rng, nn, rng.randrange(0, 6))
-        b = _random_letters(rng, nn, rng.randrange(0, 6))
-        ea = _letters_el(nn, a)
+        a = MixedBraidWord(nn, _random_letters(rng, nn, rng.randrange(0, 6)))
+        b = MixedBraidWord(nn, _random_letters(rng, nn, rng.randrange(0, 6)))
+        ea = A.project_braid(a)
         sides = []
         for side in (lhs, rhs):
-            el, letters = (side(ea), b) if callable(side) else (ea, tuple(side) + b)
-            for letter in letters:
+            el, letters = (side(ea), ()) if callable(side) else (ea, tuple(side))
+            for letter in letters + b.letters:
                 el = A.rmul_letter(el, *letter)
             sides.append(el)
-        checked += 1
-        if sides[0] != sides[1]:
-            failures.append(
-                {
-                    "relation": tag,
-                    "n": str(nn),
-                    "prefix": _word_str(nn, a),
-                    "suffix": _word_str(nn, b),
-                }
-            )
+        ledger.check(sides[0] == sides[1], relation=tag, n=nn, prefix=a, suffix=b)
 
     if n >= 3:
         for _ in range(samples):
@@ -292,31 +308,25 @@ def suite_relations(n=4, samples=200, seed=DEFAULT_SEED):
                 A.rmul_sigma(ea, i, 1).scale(_qm1(1, 0)).add(ea.scale({(1, 0): 1}))
             ),
         )
-    return _report(
-        "relations", checked, failures, {"n": n, "samples": samples, "seed": seed}
-    )
+    return ledger.report("relations", {"n": n, "samples": samples, "seed": seed})
 
 
 def suite_markov(n=4, samples=200, seed=DEFAULT_SEED):
     """Trace rules: commuted products, closures, and the closed form."""
     n = _at_least("markov", "n", n, 2)
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     for _ in range(samples):
         nn = rng.randrange(1, n + 1)
         a = MixedBraidWord(nn, _random_letters(rng, nn, rng.randrange(0, 7)))
         b = MixedBraidWord(nn, _random_letters(rng, nn, rng.randrange(0, 7)))
-        checked += 1
-        if trace_of_word(a * b) != trace_of_word(b * a):
-            failures.append(
-                {
-                    "check": "commuted-product",
-                    "n": str(nn),
-                    "a": word_to_text(a),
-                    "b": word_to_text(b),
-                }
-            )
+        ledger.check(
+            trace_of_word(a * b) == trace_of_word(b * a),
+            check="commuted-product",
+            n=nn,
+            a=a,
+            b=b,
+        )
     # closing the last strand with a single braiding letter
     for nn in range(2, n + 1):
         i = nn - 1
@@ -324,11 +334,10 @@ def suite_markov(n=4, samples=200, seed=DEFAULT_SEED):
             MixedBraidWord(nn, (("sigma", i, 1),))
         )
         neg = trace_of_word(MixedBraidWord(nn, (("sigma", i, -1),)))
-        checked += 2
-        if pos != TraceValue({(): rf_z()}):
-            failures.append({"check": "positive-closure", "i": str(i), "got": str(pos)})
-        if neg != TraceValue({(): lam() * rf_z()}):
-            failures.append({"check": "negative-closure", "i": str(i), "got": str(neg)})
+        ledger.check(pos == TraceValue({(): rf_z()}), check="positive-closure", i=i, got=pos)
+        ledger.check(
+            neg == TraceValue({(): lam() * rf_z()}), check="negative-closure", i=i, got=neg
+        )
     # stabilization: appending g_n^{+1} scales by z, g_n^{-1} by lam z
     for _ in range(max(1, samples // 8)):
         nn = rng.randrange(1, n)
@@ -337,55 +346,36 @@ def suite_markov(n=4, samples=200, seed=DEFAULT_SEED):
         big = w.with_strands(nn + 1)
         for s, factor in ((1, rf_z()), (-1, lam() * rf_z())):
             stab = MixedBraidWord(nn + 1, big.letters + (("sigma", nn, s),))
-            checked += 1
-            if trace_of_word(stab) != base.scale(factor):
-                failures.append(
-                    {"check": "stabilization", "sign": str(s), "word": word_to_text(w)}
-                )
+            ledger.check(
+                trace_of_word(stab) == base.scale(factor), check="stabilization", sign=s, word=w
+            )
     # closed form on ordered commuting-loop words: one factor per exponent
     for m in enumerate_abs_level(5, 4, primed=True):
         want = TraceValue(
             {tuple(sorted(e for _, e in m.entries)): rf_mono(1)}
         )
-        checked += 1
-        if trace_of_word(m.as_word()) != want:
-            failures.append({"check": "closed-form", "word": str(m)})
-    return _report(
-        "markov", checked, failures, {"n": n, "samples": samples, "seed": seed}
-    )
+        ledger.check(trace_of_word(m.as_word()) == want, check="closed-form", word=m)
+    return ledger.report("markov", {"n": n, "samples": samples, "seed": seed})
 
 
 def suite_invariance(n=4, samples=100, seed=DEFAULT_SEED):
     """The invariant is unchanged by conjugation and stabilization."""
     n = _at_least("invariance", "n", n, 2)
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     for _ in range(samples):
         nn = rng.randrange(1, n + 1)
         w = MixedBraidWord(nn, _random_letters(rng, nn, rng.randrange(1, 8)))
         x = invariant_x(w)
         u = MixedBraidWord(nn, _random_letters(rng, nn, rng.randrange(1, 5)))
-        checked += 1
-        if invariant_x(u * w * u.inverse()) != x:
-            failures.append(
-                {"move": "conjugation", "word": word_to_text(w), "by": word_to_text(u)}
-            )
+        ledger.check(invariant_x(u * w * u.inverse()) == x, move="conjugation", word=w, by=u)
         axis = MixedBraidWord(nn, (("loop", 0, rng.choice((-1, 1))),))
-        checked += 1
-        if invariant_x(axis * w * axis.inverse()) != x:
-            failures.append({"move": "loop-conjugation", "word": word_to_text(w)})
+        ledger.check(invariant_x(axis * w * axis.inverse()) == x, move="loop-conjugation", word=w)
         big = w.with_strands(nn + 1)
         for s in (1, -1):
             stab = MixedBraidWord(nn + 1, big.letters + (("sigma", nn, s),))
-            checked += 1
-            if invariant_x(stab) != x:
-                failures.append(
-                    {"move": "stabilization", "sign": str(s), "word": word_to_text(w)}
-                )
-    return _report(
-        "invariance", checked, failures, {"n": n, "samples": samples, "seed": seed}
-    )
+            ledger.check(invariant_x(stab) == x, move="stabilization", sign=s, word=w)
+    return ledger.report("invariance", {"n": n, "samples": samples, "seed": seed})
 
 
 def _identity_grid(suite, n, k, extra, build, key="part", names=("positive", "negative")):
@@ -393,8 +383,8 @@ def _identity_grid(suite, n, k, extra, build, key="part", names=("positive", "ne
 
     build(nn, kk, s) returns the lhs letters and the rhs (coeff, letters)
     terms of the identity on nn + extra strands; a failure records the
-    sign's entry of names under key. Returns (checked, failures); an n or
-    k past algebra.LOOP_POWER_MAX is a ValueError before any work.
+    sign's entry of names under key. Returns the ledger; an n or k past
+    algebra.LOOP_POWER_MAX is a ValueError before any work.
     """
 
     def letters(nns, kk):
@@ -403,17 +393,15 @@ def _identity_grid(suite, n, k, extra, build, key="part", names=("positive", "ne
 
     _at_most(suite, "n", n, lambda nn: letters([nn], 1))
     _at_most(suite, "k", k, lambda kk: letters(range(1, n + 1), kk), " at n = %d" % n)
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     for nn in range(1, n + 1):
         strands = nn + extra
         for kk in range(1, k + 1):
             for s, name in zip((1, -1), names):
                 lhs, rhs = build(nn, kk, s)
-                checked += 1
-                if _letters_el(strands, lhs) != _combination(strands, rhs):
-                    failures.append({key: name, "n": str(nn), "k": str(kk)})
-    return checked, failures
+                ok = _letters_el(strands, lhs) == _combination(strands, rhs)
+                ledger.check(ok, **{key: name}, n=nn, k=kk)
+    return ledger
 
 
 def suite_eq15(n=3, k=5):
@@ -433,9 +421,7 @@ def suite_eq15(n=3, k=5):
         rhs.append(({(s * kk, 0): 1}, [("sigma", nn, s), ("loop", nn - 1, s * kk)]))
         return lhs, rhs
 
-    checked, failures = _identity_grid(
-        "eq15", n, k, 1, build, "line", ("positive", "negative-short-tail")
-    )
+    ledger = _identity_grid("eq15", n, k, 1, build, "line", ("positive", "negative-short-tail"))
     # the conjugated three-letter tail candidate, smallest instance; it
     # settles a display question, so it counts only next to a checked grid
     lhs = _letters_el(2, [("loop", 1, -1), ("sigma", 1, -1)])
@@ -449,8 +435,8 @@ def suite_eq15(n=3, k=5):
             ),
         ],
     )
-    if checked:
-        checked += 1
+    if ledger.checked:
+        ledger.check(True)
     notes = [
         "negative line tail adjudication: the two-letter tail"
         " (inverse braiding, then inverse lower loop) holds at every"
@@ -458,7 +444,7 @@ def suite_eq15(n=3, k=5):
         + ("also holds" if lhs == alt else "fails already at n=1, k=1")
         + "."
     ]
-    return _report("eq15", checked, failures, {"n": n, "k": k}, notes)
+    return ledger.report("eq15", {"n": n, "k": k}, notes)
 
 
 def suite_lemma2(n=3, k=5):
@@ -480,8 +466,7 @@ def suite_lemma2(n=3, k=5):
         )
         return [("loop", nn, s * kk)], rhs
 
-    checked, failures = _identity_grid("lemma2", n, k, 1, build)
-    return _report("lemma2", checked, failures, {"n": n, "k": k})
+    return _identity_grid("lemma2", n, k, 1, build).report("lemma2", {"n": n, "k": k})
 
 
 def suite_lemma3(n=3, k=5):
@@ -500,8 +485,7 @@ def suite_lemma3(n=3, k=5):
         ]
         return lhs, rhs
 
-    checked, failures = _identity_grid("lemma3", n, k, 2, build)
-    return _report("lemma3", checked, failures, {"n": n, "k": k})
+    return _identity_grid("lemma3", n, k, 2, build).report("lemma3", {"n": n, "k": k})
 
 
 def _s_mono(*indices):
@@ -514,23 +498,23 @@ def _axis_move_goldens(p):
     q1 = _qm1(1, 0)
     qi1 = _qm1(-1, 0)
     out = []
-    want = TraceValue.zero()
+    want = TraceValue()
     want.add_term(_s_mono(1, p), RatFunc.from_poly(_qm1(1, 1)))
     want.add_term(
         _s_mono(p + 1),
         RatFunc.from_poly(P.padd(P.pshift(P.pmul(q1, q1), 0, 1), P.pmono(1, 1, 1))),
     )
     out.append(("t^%d t1 g1" % p, want))
-    want = TraceValue.zero()
+    want = TraceValue()
     want.add_term(_s_mono(1, p), rf_mono(1, 1, 0))
     want.add_term(_s_mono(p + 1), RatFunc.from_poly({(1, 1): 1, (0, 1): -1}))
     out.append(("t^%d t1" % p, want))
-    want = TraceValue.zero()
+    want = TraceValue()
     want.add_term(_s_mono(-1, p), rf_mono(1, -1, 0))
     c = P.padd(P.pshift(_qm1(-1, -1), 0, 1), P.pmul(qi1, qi1))
     want.add_term(_s_mono(p - 1), RatFunc.from_poly(c))
     out.append(("t^%d t1^-1" % p, want))
-    want = TraceValue.zero()
+    want = TraceValue()
     want.add_term(_s_mono(-1, p), RatFunc.from_poly(_qm1(-1, -1)))
     c = P.pshift(P.pmul(_qm1(-1, -1), qi1), 0, 1)
     c = P.padd(c, P.pmul(qi1, P.pmul(qi1, qi1)))
@@ -550,13 +534,10 @@ def suite_lemma4(p=None, k=3):
     exactly where it holds (below the twist modulus).
     """
     p_list = (2, 3) if p is None else (_at_least("lemma4", "p", p, 1),)
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     for pp in p_list:
         for text, want in _axis_move_goldens(pp):
-            checked += 1
-            if trace_of_word(parse_word(text, n=2)) != want:
-                failures.append({"check": "golden", "word": text})
+            ledger.check(trace_of_word(parse_word(text, n=2)) == want, check="golden", word=text)
         for kk in range(1, k + 1):
             for eps in (1, -1):
                 neg = trace_of_word(
@@ -566,49 +547,22 @@ def suite_lemma4(p=None, k=3):
                     parse_word("t^%d t1^%d g1^%d" % (pp, kk, eps), n=2)
                 )
                 formal_neg = _tag_sig(pp, -kk, -eps)
-                checked += 1
-                _formal_mirror(failures, pp, kk, eps)
-                checked += 1
-                if (
-                    tagged_specialize(formal_neg) != neg
-                    or tagged_specialize(_tag_sig(pp, kk, eps)) != pos
-                ):
-                    failures.append(
-                        {
-                            "check": "formal-specialization",
-                            "p": str(pp),
-                            "k": str(kk),
-                            "eps": str(eps),
-                        }
-                    )
+                _formal_mirror(ledger, pp, kk, eps)
+                ledger.check(
+                    tagged_specialize(formal_neg) == neg
+                    and tagged_specialize(_tag_sig(pp, kk, eps)) == pos,
+                    check="formal-specialization",
+                    p=pp,
+                    k=kk,
+                    eps=eps,
+                )
                 degen = any(axis <= 0 for axis, _ in formal_neg.terms)
-                checked += 1
                 if kk < pp:
-                    if map_I(neg, pp) != pos:
-                        failures.append(
-                            {
-                                "check": "value-mirror",
-                                "p": str(pp),
-                                "k": str(kk),
-                                "eps": str(eps),
-                            }
-                        )
+                    ledger.check(map_I(neg, pp) == pos, check="value-mirror", p=pp, k=kk, eps=eps)
                     if degen:
-                        failures.append(
-                            {
-                                "check": "unexpected-degenerate-axis",
-                                "p": str(pp),
-                                "k": str(kk),
-                            }
-                        )
-                elif not degen:
-                    failures.append(
-                        {
-                            "check": "missing-degenerate-axis",
-                            "p": str(pp),
-                            "k": str(kk),
-                        }
-                    )
+                        ledger.fail(check="unexpected-degenerate-axis", p=pp, k=kk)
+                else:
+                    ledger.check(degen, check="missing-degenerate-axis", p=pp, k=kk)
     notes = [
         "value-level image equality holds exactly below the twist modulus"
         " (k < p) and is asserted there;",
@@ -617,7 +571,7 @@ def suite_lemma4(p=None, k=3):
         " asserted on the axis-tagged recursion, whose image is taken"
         " before the axis symbol is evaluated.",
     ]
-    return _report("lemma4", checked, failures, {"p": p_list, "k": k}, notes)
+    return ledger.report("lemma4", {"p": p_list, "k": k}, notes)
 
 
 def suite_theorem9(p=3, k=3):
@@ -630,50 +584,34 @@ def suite_theorem9(p=3, k=3):
     """
     from .lens import compare_mirror  # here, so that no other suite loads lens
 
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     for pp in range(1, _at_least("theorem9", "p", p, 1) + 1):
         rep = compare_mirror(pp, k)
-        checked += len(rep["entries"])
+        ledger.checked += len(rep["entries"])
         if not rep["exact_below_p"]:
-            failures.append({"check": "exact-below-modulus", "p": str(pp)})
+            ledger.fail(check="exact-below-modulus", p=pp)
         if rep["mismatch_levels"] != rep["expected_mismatch_levels"]:
-            failures.append(
-                {
-                    "check": "mismatch-boundary",
-                    "p": str(pp),
-                    "got": str(rep["mismatch_levels"]),
-                    "expected": str(rep["expected_mismatch_levels"]),
-                }
+            ledger.fail(
+                check="mismatch-boundary",
+                p=pp,
+                got=rep["mismatch_levels"],
+                expected=rep["expected_mismatch_levels"],
             )
         for row in rep["entries"]:
             if row["status"] == "mismatch" and not row.get("degenerate_axis"):
-                failures.append(
-                    {
-                        "check": "mismatch-not-degenerate",
-                        "p": str(pp),
-                        "source": row["source"],
-                    }
-                )
+                ledger.fail(check="mismatch-not-degenerate", p=pp, source=row["source"])
             if row["status"] == "index-out-of-range":
-                failures.append(
-                    {
-                        "check": "image-domain",
-                        "p": str(pp),
-                        "source": row["source"],
-                    }
-                )
+                ledger.fail(check="image-domain", p=pp, source=row["source"])
         for kk in range(1, int(k) + 1):
             for eps in (1, -1):
-                checked += 1
-                _formal_mirror(failures, pp, kk, eps)
+                _formal_mirror(ledger, pp, kk, eps)
     notes = [
         "equation images match the direct system exactly for levels below"
         " the twist modulus; at level >= p the difference is the axis"
         " degeneration recorded per equation, and the identity holds on"
         " the axis-tagged form (see suite lemma4).",
     ]
-    return _report("theorem9", checked, failures, {"p": p, "k": k}, notes)
+    return ledger.report("theorem9", {"p": p, "k": k}, notes)
 
 
 def suite_prop2(p=None, k=3):
@@ -684,26 +622,23 @@ def suite_prop2(p=None, k=3):
         return [w.as_word() for m in enumerate_level(kk, "+") for w in (m, m.flip())]
 
     _at_most("prop2", "k", k, lambda kk: [x for w in words(kk) for x in w.letters])
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     for kk in range(0, int(k) + 1):
         for m in enumerate_level(kk, "+"):
             tv_pos = trace_of_word(m.as_word())
             tv_neg = trace_of_word(m.flip().as_word())
-            checked += 1
-            if any(any(j > 0 for j in mono) for mono in tv_neg.terms):
-                failures.append({"check": "negative-support", "source": str(m)})
+            ledger.check(
+                not any(any(j > 0 for j in mono) for mono in tv_neg.terms),
+                check="negative-support",
+                source=m,
+            )
             for pp in p_list:
-                checked += 1
-                if map_I(tv_neg, pp) != tv_pos:
-                    failures.append(
-                        {"check": "image-equality", "p": str(pp), "source": str(m)}
-                    )
+                ledger.check(map_I(tv_neg, pp) == tv_pos, check="image-equality", p=pp, source=m)
     notes = [
         "flipped traces are supported on all-negative monomials, so the"
         " image map acts independently of the twist modulus on them.",
     ]
-    return _report("prop2", checked, failures, {"p": p_list, "k": k}, notes)
+    return ledger.report("prop2", {"p": p_list, "k": k}, notes)
 
 
 def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
@@ -730,14 +665,11 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
         "flip", "k", k, lambda v: [x for pp in p_list for w in images(pp, v) for x in w.letters]
     )
     rng = random.Random(seed)
-    failures = []
-    checked = 0
+    ledger = _Ledger()
 
     def check(kind, w):
-        nonlocal checked
-        checked += 1
-        if trace_of_word(f_map_word(w)) != map_flip(trace_of_word(w)):
-            failures.append({"check": kind, "word": word_to_text(w), "n": str(w.n)})
+        ok = trace_of_word(f_map_word(w)) == map_flip(trace_of_word(w))
+        ledger.check(ok, check=kind, word=w, n=w.n)
 
     for _ in range(samples):
         nn = rng.randrange(2, n + 1)
@@ -757,41 +689,22 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
         "checked, not proved: the identity follows from the uniqueness of"
         " the trace once the loop rule for f(t_n')^k is settled.",
     ]
-    return _report(
-        "flip",
-        checked,
-        failures,
-        {"n": n, "samples": samples, "seed": seed, "p": p_list, "k": k},
-        notes,
+    return ledger.report(
+        "flip", {"n": n, "samples": samples, "seed": seed, "p": p_list, "k": k}, notes
     )
 
 
 def suite_grading(p=2, k=4):
     """Trace levels: sources sit at level k, band images at level p + k."""
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     for kk in range(0, int(k) + 1):
         for m in enumerate_level(kk, "+"):
             for eq in bbm_equation_pair(m, p):
-                checked += 1
-                bad = [
-                    mono_str(mono)
-                    for mono in eq.lhs.terms
-                    if mono_level(mono) != kk
-                ] + [
-                    mono_str(mono)
-                    for mono in eq.rhs.terms
-                    if mono_level(mono) != int(p) + kk
+                bad = [mono_str(mono) for mono in eq.lhs.terms if mono_level(mono) != kk] + [
+                    mono_str(mono) for mono in eq.rhs.terms if mono_level(mono) != int(p) + kk
                 ]
-                if bad:
-                    failures.append(
-                        {
-                            "source": str(m),
-                            "sign": str(eq.sign),
-                            "off-level": ", ".join(bad),
-                        }
-                    )
-    return _report("grading", checked, failures, {"p": p, "k": k})
+                ledger.check(not bad, source=m, sign=eq.sign, **{"off-level": ", ".join(bad)})
+    return ledger.report("grading", {"p": p, "k": k})
 
 
 def suite_triangular(n=3, k=4):
@@ -801,8 +714,7 @@ def suite_triangular(n=3, k=4):
     than assumed, since the source displays disagree; the observed sign
     is recorded in the notes.
     """
-    failures = []
-    checked = 0
+    ledger = _Ledger()
     signs = {}  # observed sign -> first word showing it
     for m in enumerate_abs_level(int(k), int(n), primed=False):
         e = m.entries
@@ -815,44 +727,24 @@ def suite_triangular(n=3, k=4):
         expo = sum(i * x for i, x in e)
         ident = A.perm_id(el.n)
         diag = el.terms.get((e, ident))
-        checked += 1
-        if diag == {(expo, 0): 1}:
-            if expo != 0:
-                signs.setdefault("+", str(m))
-        elif diag == {(-expo, 0): 1}:
-            signs.setdefault("-", str(m))
-        else:
-            failures.append(
-                {
-                    "check": "diagonal",
-                    "word": str(m),
-                    "got": P.pformat(diag) if diag else "0",
-                }
-            )
+        ok = diag in ({(expo, 0): 1}, {(-expo, 0): 1})
+        ledger.check(ok, check="diagonal", word=m, got=P.pformat(diag))
+        if ok and expo:
+            signs.setdefault("+" if diag == {(expo, 0): 1} else "-", str(m))
         for (loops, perm), _c in el.terms.items():
             if perm != ident or loops == e:
                 continue
             if not order_key(loops) < tau_key:
-                failures.append(
-                    {
-                        "check": "order",
-                        "word": str(m),
-                        "term": str(
-                            A.canonical_word_str(loops, perm)
-                        ),
-                    }
-                )
+                ledger.fail(check="order", word=m, term=A.canonical_word_str(loops, perm))
     if len(signs) == 2:
-        failures.append(
-            {"check": "diagonal-sign", "positive": signs["+"], "negative": signs["-"]}
-        )
+        ledger.fail(check="diagonal-sign", positive=signs["+"], negative=signs["-"])
     note = (
         "observed diagonal coefficient: q^(%ssum(index * exponent)) in the"
         " unprimed-to-primed direction" % "".join(signs)
         if len(signs) == 1
         else "the diagonal coefficient's sign is undetermined at these parameters"
     )
-    return _report("triangular", checked, failures, {"n": n, "k": k}, [note])
+    return ledger.report("triangular", {"n": n, "k": k}, [note])
 
 
 # in the order `heckeb verify` runs them

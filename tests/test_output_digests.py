@@ -2,10 +2,11 @@
 
 Each digest is the sha256 of everything the listed `heckeb` commands print,
 on stdout and stderr, run in order in one process, with every exit code.
-The `verify-broken` digest runs the identity suites in a fresh interpreter
-whose g2 kernel is deliberately broken, which pins the failure reports. The
-digests were recorded before the refactors that must not change output;
-regenerate them only for a deliberate change of output, with
+The `verify-broken` and `verify-broken-g1` digests run the identity suites
+in a fresh interpreter whose kernel is deliberately broken, which pins the
+failure reports of every suite. The digests were recorded before the
+refactors that must not change output; regenerate them only for a
+deliberate change of output, with
 
     PYTHONPATH=src python tests/test_output_digests.py
 """
@@ -59,6 +60,21 @@ BROKEN_ARGS = (
     ("relations", "--n", "4", "--samples", "1"),
 )
 
+# the other suites, run with g1^-1 broken; grading reads only levels, so it
+# is given an off-level term instead
+BROKEN_G1_ARGS = (
+    ("lemma4", "--p", "2", "--k", "2"),
+    ("theorem9", "--p", "2", "--k", "2"),
+    ("prop2", "--p", "2", "--k", "2"),
+    ("triangular", "--n", "3", "--k", "2"),
+    ("markov", "--n", "3", "--samples", "5"),
+    ("invariance", "--n", "3", "--samples", "5"),
+    ("flip", "--n", "3", "--samples", "5", "--p", "2", "--k", "2"),
+    ("grading", "--p", "2", "--k", "2"),
+)
+
+BROKEN = {"verify-broken": BROKEN_ARGS, "verify-broken-g1": BROKEN_G1_ARGS}
+
 
 def _loop_words():
     return [str(m) for lvl, side in ((3, "+"), (-3, "-")) for m in enumerate_level(lvl, side)]
@@ -110,10 +126,10 @@ def _commands(name):
             )
             for fmt in ((), ("--format", "json"))
         ]
-    if name in ("verify", "verify-broken"):
+    if name == "verify" or name in BROKEN:
         return [
             ("verify", "--suite") + args + fmt
-            for args in (VERIFY_ARGS if name == "verify" else BROKEN_ARGS)
+            for args in BROKEN.get(name, VERIFY_ARGS)
             for fmt in ((), ("--format", "json"))
         ]
     raise KeyError(name)
@@ -142,15 +158,37 @@ def _break_g2():
     algebra.rmul_sigma = broken
 
 
-def _broken_digest():
-    """The verify-broken digest, taken in a fresh interpreter: in this one,
+def _break_g1():
+    """Make rmul_sigma multiply every g1^-1 by 2, in algebra and in trace,
+    which imports it by name; give every band move equation that
+    verify builds an off-level term s_7."""
+    from heckeb import trace, verify
+    from heckeb.scalars import RF_ONE
+
+    rmul_sigma = algebra.rmul_sigma
+    pair = verify.bbm_equation_pair
+
+    def broken(el, i, sign):
+        out = rmul_sigma(el, i, sign)
+        return out.scale({(0, 0): 2}) if (i, sign) == (1, -1) else out
+
+    def off_level(m, p):
+        eqs = pair(m, p)
+        for eq in eqs:
+            eq.lhs.add_term((7,), RF_ONE)
+        return eqs
+
+    algebra.rmul_sigma = trace.rmul_sigma = broken
+    verify.bbm_equation_pair = off_level
+
+
+def _broken_digest(name):
+    """A broken-kernel digest, taken in a fresh interpreter: in this one,
     the memo tables would mix entries built with and without the break."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
-    code = (
-        "import test_output_digests as t; t._break_g2();"
-        " print(t._digest('verify-broken'))"
-    )
+    brk = "_break_g2" if name == "verify-broken" else "_break_g1"
+    code = "import test_output_digests as t; t.%s(); print(t._digest(%r))" % (brk, name)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, here)))
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -159,7 +197,7 @@ def _broken_digest():
 
 
 def _current(name):
-    return _broken_digest() if name == "verify-broken" else _digest(name)
+    return _broken_digest(name) if name in BROKEN else _digest(name)
 
 
 DIGESTS = {
@@ -171,6 +209,7 @@ DIGESTS = {
     "experiment": "30f595449b4d1e70d16167e77559007bfcb653dd55581b2a3543996f9eafbbb7",
     "verify": "c98811495586391d85291cc1f6a29d220e81cb1f5a8a401ffcae0fe8c8e04277",
     "verify-broken": "5de7cc09cc92706fd7363643fe2b85b15418d553f49be5f846de335ef47b4335",
+    "verify-broken-g1": "32f84c39807c8cfdd70821e234a6bbc70d5bfa168d15d26a7e31c7f32b0faa09",
 }
 
 
