@@ -13,7 +13,9 @@ gcd, GCDHEU). A rejected candidate is retried with a different packing;
 a primitive remainder sequence (PRS) is the last resort. pgcd returns
 the two cofactors with the gcd, so reducing a fraction takes no
 division. Exact division (pdivexact) by a polynomial that is not a
-monomial is the PRS layer's long division.
+monomial is the PRS's long division. The PRS is one recursive copy on
+these dicts, over z, q and the integers, and uses no packing: the tests
+check pgcd against it.
 """
 
 import math
@@ -342,9 +344,8 @@ def pgcd(a, b):
     else:
         out = _heu_gcd(a, b)
         if out is None:
-            sa, sb = _split_z(a), _split_z(b)
-            G = _zgcd(sa, sb)
-            out = _join_z(G), _join_z(_zdivexact(sa, G)), _join_z(_zdivexact(sb, G))
+            g = _gcd(a, b, 1)
+            out = g, _divexact(a, g, 1), _divexact(b, g, 1)
         g, fa, fb = out
     c = math.gcd(ca, cb)
     if g[max(g)] < 0:
@@ -358,7 +359,7 @@ def pdivexact(a, b):
     """Exact division of Laurent polynomials; raises ValueError if inexact.
 
     A monomial divisor shifts and divides the coefficients; any other
-    divisor takes the long division of the PRS layer below."""
+    divisor takes the long division of the PRS below."""
     if not b:
         raise ZeroDivisionError("zero divisor")
     if not a:
@@ -367,228 +368,85 @@ def pdivexact(a, b):
     if len(b) == 1:
         return pdivexact_mono(a, b[(qb, zb)], qb, zb)
     qa, za = pminexp(a)
-    out = _zdivexact(_split_z(pshift(a, -qa, -za)), _split_z(pshift(b, -qb, -zb)))
-    return pshift(_join_z(out), qa - qb, za - zb)
+    out = _divexact(pshift(a, -qa, -za), pshift(b, -qb, -zb), 1)
+    return pshift(out, qa - qb, za - zb)
 
 
 # -- primitive remainder sequence ---------------------------------------
 # The fallback of pgcd, the long division of pdivexact, and the
-# reference the tests compare pgcd with. Univariate helpers work on dicts
-# {exp: coeff} over the integers; the bivariate layer views a polynomial
-# as a list over z-degree with q-poly coefficients.
+# reference the tests compare pgcd with, so it calls neither pgcd nor the
+# packing (Geddes, Czapor, Labahn, 1992, ch. 7). One recursive copy
+# serves three levels of dicts with exponents >= 0: v = 1 is a polynomial
+# in z with coefficients in Z[q], v = 0 one in q with integer
+# coefficients (every ze = 0), and v = -1 an integer c as {(0, 0): c}.
 
 
-def _qprim(f):
-    """Primitive part with positive leading coefficient."""
-    if not f:
-        return {}
-    g = math.gcd(*f.values())
-    if f[max(f)] < 0:
-        g = -g
-    if g == 1:
-        return dict(f)
-    return {k: v // g for k, v in f.items()}
+def _lead(a, v):
+    """(e, c) for a nonzero a: its degree e in z (v = 1) or q (v = 0),
+    and the coefficient c of that power, a polynomial of level v - 1."""
+    e = max(k[v] for k in a)
+    return e, {(k[0] * v, 0): c for k, c in a.items() if k[v] == e}
 
 
-def _qabs(f):
-    """Copy with positive leading coefficient, content kept."""
-    if not f or f[max(f)] > 0:
-        return dict(f)
-    return {k: -v for k, v in f.items()}
+def _shift(a, n, v):
+    """a times z^n (v = 1) or q^n (v = 0)."""
+    return pshift(a, 0, n) if v else pshift(a, n, 0)
 
 
-def _qpseudo_rem(f, g):
-    dg = max(g)
-    lg = g[dg]
-    r = dict(f)
-    while r:
-        dr = max(r)
-        if dr < dg:
+def _prem(a, b, v):
+    """The pseudo-remainder of a by b in the variable of level v."""
+    d, lb = _lead(b, v)
+    while a:
+        e, la = _lead(a, v)
+        if e < d:
             break
-        lr = r[dr]
-        nxt = {}
-        for k, v in r.items():
-            if k != dr:
-                nxt[k] = v * lg
-        for k, v in g.items():
-            if k != dg:
-                kk = k + dr - dg
-                s = nxt.get(kk, 0) - v * lr
-                if s:
-                    nxt[kk] = s
-                else:
-                    nxt.pop(kk, None)
-        r = nxt
-    return r
+        # lb*a - la*x^(e-d)*b; the top terms cancel
+        a = psub(pmul(a, lb), pmul(_shift(b, e - d, v), la))
+    return a
 
 
-def _qgcd(f, g):
-    if not f:
-        return _qabs(g)
-    if not g:
-        return _qabs(f)
-    c = math.gcd(*f.values(), *g.values())
-    f = _qprim(f)
-    g = _qprim(g)
-    while g:
-        r = _qpseudo_rem(f, g)
-        f, g = g, _qprim(r)
-    if c != 1:
-        f = {k: v * c for k, v in f.items()}
-    return f
-
-
-def _qdivexact(f, g):
-    """Exact division in Z[x]; raises ValueError when inexact."""
-    if not g:
-        raise ZeroDivisionError("zero divisor")
-    if not f:
-        return {}
-    dg = max(g)
-    lg = g[dg]
-    r = dict(f)
-    out = {}
-    while r:
-        dr = max(r)
-        if dr < dg:
+def _divexact(a, b, v):
+    """Exact quotient a / b at level v for b nonzero; raises ValueError
+    when inexact."""
+    if v < 0:
+        t, r = divmod(a[(0, 0)], b[(0, 0)])
+        if r:
             raise ValueError("inexact division")
-        t, rem = divmod(r[dr], lg)
-        if rem:
-            raise ValueError("inexact division")
-        out[dr - dg] = t
-        for k, v in g.items():
-            kk = k + dr - dg
-            s = r.get(kk, 0) - v * t
-            if s:
-                r[kk] = s
-            else:
-                r.pop(kk, None)
-    return out
-
-
-def _split_z(a):
-    """Dict form (min exponents (0, 0)) to a z-degree list of q-polys."""
-    zmax = max(k[1] for k in a)
-    out = [dict() for _ in range(zmax + 1)]
-    for (qe, ze), c in a.items():
-        out[ze][qe] = c
-    return out
-
-
-def _join_z(L):
+        return {(0, 0): t}
+    d, lb = _lead(b, v)
     out = {}
-    for ze, f in enumerate(L):
-        for qe, c in f.items():
-            out[(qe, ze)] = c
+    while a:
+        e, la = _lead(a, v)
+        if e < d:
+            raise ValueError("inexact division")
+        t = _shift(_divexact(la, lb, v - 1), e - d, v)
+        out = padd(out, t)
+        a = psub(a, pmul(b, t))
     return out
 
 
-def _ztrim(F):
-    while F and not F[-1]:
-        F.pop()
-    return F
-
-
-def _zcontent(F):
+def _content(a, v):
+    """The gcd of a's coefficients at level v, a polynomial of level v - 1."""
+    coeffs = {}
+    for k, c in a.items():
+        coeffs.setdefault(k[v], {})[(k[0] * v, 0)] = c
     g = {}
-    for f in F:
-        g = _qgcd(g, f)
-        if g == {0: 1}:
-            return g
+    for c in coeffs.values():
+        g = _gcd(g, c, v - 1)
     return g
 
 
-def _zprim(F):
-    g = _zcontent(F)
-    if g == {0: 1}:
-        return [dict(f) for f in F]
-    return [_qdivexact(f, g) if f else {} for f in F]
-
-
-def _zpseudo_rem(F, G):
-    dg = len(G) - 1
-    lg = G[dg]
-    r = _ztrim([dict(f) for f in F])
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        lr = r[dr]
-        # lg*r - lr*x^(dr-dg)*G; the top terms cancel by construction
-        nxt = [_qmul(r[i], lg) if r[i] else {} for i in range(dr)]
-        for i in range(dg):
-            if G[i]:
-                j = i + dr - dg
-                nxt[j] = _qsub(nxt[j], _qmul(G[i], lr))
-        r = _ztrim(nxt)
-    return r
-
-
-def _qmul(f, g):
-    if not f or not g:
-        return {}
-    out = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
-            k = a + b
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _qsub(f, g):
-    out = dict(f)
-    for k, v in g.items():
-        s = out.get(k, 0) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _zgcd(F, G):
-    F = _ztrim([dict(f) for f in F])
-    G = _ztrim([dict(f) for f in G])
-    if not F:
-        return G
-    if not G:
-        return F
-    c = _qgcd(_zcontent(F), _zcontent(G))
-    F = _zprim(F)
-    G = _zprim(G)
-    if len(F) < len(G):
-        F, G = G, F
-    while G:
-        R = _zpseudo_rem(F, G)
-        F, G = G, (_zprim(R) if R else [])
-    if c != {0: 1}:
-        F = [_qmul(f, c) if f else {} for f in F]
-    return F
-
-
-def _zdivexact(F, G):
-    F = _ztrim([dict(f) for f in F])
-    G = _ztrim([dict(f) for f in G])
-    if not G:
-        raise ZeroDivisionError("zero divisor")
-    if not F:
-        return []
-    dg = len(G) - 1
-    lg = G[dg]
-    out = [dict() for _ in range(len(F) - dg)]
-    r = F
-    while True:
-        _ztrim(r)
-        if not r:
-            break
-        dr = len(r) - 1
-        if dr < dg:
-            raise ValueError("inexact division")
-        t = _qdivexact(r[dr], lg)
-        out[dr - dg] = t
-        for i in range(dg + 1):
-            if G[i]:
-                r[i + dr - dg] = _qsub(r[i + dr - dg], _qmul(G[i], t))
-    return out
+def _gcd(a, b, v):
+    """A gcd of a and b at level v, up to sign."""
+    if not a or not b:
+        return dict(a or b)
+    if v < 0:
+        return {(0, 0): math.gcd(a[(0, 0)], b[(0, 0)])}
+    ca = _content(a, v)
+    cb = _content(b, v)
+    a = _divexact(a, ca, v)
+    b = _divexact(b, cb, v)
+    while b:
+        r = _prem(a, b, v)
+        a, b = b, (_divexact(r, _content(r, v), v) if r else r)
+    return pmul(a, _gcd(ca, cb, v - 1))

@@ -34,6 +34,7 @@ t_i', and the identity is not claimed for them.
 from . import poly as P
 from .algebra import (
     AlgebraElement,
+    _acc,
     perm_blocks,
     perm_of_blocks,
     project_braid,
@@ -137,16 +138,7 @@ def _trace_element(el):
         if not c:
             continue
         for m, pv in v.items():
-            prod = P.pmul(c, pv)
-            cur = out.get(m)
-            if cur is None:
-                out[m] = prod
-            else:
-                s = P.padd(cur, prod)
-                if not s:
-                    del out[m]
-                else:
-                    out[m] = s
+            _acc(out, m, P.pmul(c, pv))
     return out
 
 
@@ -343,8 +335,11 @@ def map_I(tv, p):
     """q -> q^{-1}, z -> lam z, s_{-j} -> s_j, s_{p-i} -> s_{p+i} (0<=i<p).
 
     Positive indices above p are outside the domain and raise
-    TraceDomainError. s_0 never occurs (it is the empty factor 1).
+    TraceDomainError, as does a negative p. s_0 never occurs (it is the
+    empty factor 1).
     """
+    if p < 0:
+        raise TraceDomainError("p must be nonnegative")
     return _map_terms(tv, lambda j: map_index(j, p))
 
 

@@ -325,6 +325,14 @@ def test_imap_domain_error(capsys):
     assert "error:" in err
 
 
+def test_imap_rejects_negative_modulus(capsys):
+    # bbm and verify --suite prop2 refuse p < 0 too; p = 0 stays in range
+    code, out, err = run(capsys, "imap", "t^-1", "--p", "-1")
+    assert code == 1 and out == "" and err.startswith("error: ")
+    code, out, _ = run(capsys, "imap", "t^-1", "--p", "0")
+    assert code == 0 and out == "s[1]\n"
+
+
 def test_reduce_rejects_negative_side(capsys):
     # reduce runs on the positive system only and takes no --side
     with pytest.raises(SystemExit) as exc:

@@ -89,15 +89,22 @@ def test_no_module_imports_dataclasses_or_inspect():
             assert not bad, (path.name, node.lineno, bad)
 
 
-def _public_definitions(tree):
-    """(qualified name, node) for each public top-level function or class
-    and each public method of a top-level class."""
+def _definitions(tree, private):
+    """(qualified name, node) for each top-level function or class and
+    each method of a top-level class, either the public ones or the
+    private ones that are not dunders."""
+
+    def wanted(name):
+        if name.startswith("__") and name.endswith("__"):
+            return False
+        return name.startswith("_") == private
+
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and wanted(node.name):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and wanted(item.name):
                     yield "%s.%s" % (node.name, item.name), item
 
 
@@ -111,20 +118,34 @@ def _referenced_names(node):
     return out
 
 
+def _source_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "heckeb").glob("*.py"))}
+
+
+def _uncalled(trees, private):
+    """The definitions that no name in src refers to outside their own body."""
+    counts = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    for mod, tree in trees.items():
+        for qualname, node in _definitions(tree, private):
+            if counts[node.name] == _referenced_names(node).count(node.name):
+                yield "%s.%s" % (mod, qualname), node.name
+
+
 def test_every_public_name_has_a_caller_in_src_or_perfbench():
     # a public name that only tests call is dead code with a test around it
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "heckeb").glob("*.py"))}
     perfbench = "\n".join(
         path.read_text() for path in sorted((SRC.parent / "perfbench").glob("*.py"))
     )
-    counts = Counter(name for tree in trees.values() for name in _referenced_names(tree))
-    dead = []
-    for mod, tree in trees.items():
-        for qualname, node in _public_definitions(tree):
-            name = node.name
-            if counts[name] > _referenced_names(node).count(name):
-                continue
-            if re.search(r"\b%s\b" % re.escape(name), perfbench):
-                continue
-            dead.append("%s.%s" % (mod, qualname))
+    dead = [
+        qualname
+        for qualname, name in _uncalled(_source_trees(), private=False)
+        if not re.search(r"\b%s\b" % re.escape(name), perfbench)
+    ]
+    assert not dead, dead
+
+
+def test_every_private_name_has_a_caller_in_src():
+    # a private helper that only its tests reach, such as a second copy
+    # of an algorithm left behind by a refactor, is dead code
+    dead = [qualname for qualname, _ in _uncalled(_source_trees(), private=True)]
     assert not dead, dead

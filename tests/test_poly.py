@@ -107,8 +107,7 @@ def _ref_gcd(a, b):
     """pgcd by the primitive remainder sequence alone."""
     qa, za = P.pminexp(a)
     qb, zb = P.pminexp(b)
-    g = P._join_z(P._zgcd(P._split_z(P.pshift(a, -qa, -za)),
-                          P._split_z(P.pshift(b, -qb, -zb))))
+    g = P._gcd(P.pshift(a, -qa, -za), P.pshift(b, -qb, -zb), 1)
     qm, zm = P.pminexp(g)
     g = P.pshift(g, -qm, -zm)
     return P.pneg(g) if g[max(g)] < 0 else g
@@ -118,9 +117,8 @@ def _ref_divexact(a, b):
     """pdivexact by long division alone."""
     qa, za = P.pminexp(a)
     qb, zb = P.pminexp(b)
-    out = P._zdivexact(P._split_z(P.pshift(a, -qa, -za)),
-                       P._split_z(P.pshift(b, -qb, -zb)))
-    return P.pshift(P._join_z(out), qa - qb, za - zb)
+    out = P._divexact(P.pshift(a, -qa, -za), P.pshift(b, -qb, -zb), 1)
+    return P.pshift(out, qa - qb, za - zb)
 
 
 def _assert_gcd(a, b):
@@ -223,6 +221,67 @@ def test_prs_fallback_agrees(monkeypatch):
         if a and b:
             _assert_gcd(a, b)
             assert P.pdivexact(a, f) == _ref_divexact(a, f)
+
+
+def _q(*coeffs):
+    """The polynomial sum c_e q^e over coeffs = (c_0, c_1, ...)."""
+    return {(e, 0): c for e, c in enumerate(coeffs) if c}
+
+
+def test_prs_gcd_pinned(monkeypatch):
+    # the remainder sequence alone, at every level
+    monkeypatch.setattr(P, "_HEU_TRIES", 0)
+    zq = {(0, 1): 1, (1, 0): 1}          # z + q
+    zm2 = {(0, 1): 1, (0, 0): -2}        # z - 2
+    h = {(1, 1): 1, (0, 1): -1, (0, 0): 1}  # qz - z + 1
+    cases = [
+        # 6(q + 1)(q + 2), 4(q + 1)(q + 3): gcd 2 + 2q
+        (P.pmul(P.pconst(6), P.pmul(_q(1, 1), _q(2, 1))),
+         P.pmul(P.pconst(4), P.pmul(_q(1, 1), _q(3, 1))),
+         (_q(2, 2), _q(6, 3), _q(6, 2))),
+        # (q - 1)(q + 2)^2, (q - 1)(q + 2)(2q + 3): gcd -2 + q + q^2
+        (P.pmul(_q(-1, 1), P.pmul(_q(2, 1), _q(2, 1))),
+         P.pmul(_q(-1, 1), P.pmul(_q(2, 1), _q(3, 2))),
+         (_q(-2, 1, 1), _q(2, 1), _q(3, 2))),
+        # (q - 1)(z + q), (q - 1)(z - 2): gcd -1 + q
+        (P.pmul(_q(-1, 1), zq), P.pmul(_q(-1, 1), zm2), (_q(-1, 1), zq, zm2)),
+        # (qz - z + 1)(z + 3), (qz - z + 1)(q + 5): gcd 1 - z + qz
+        (P.pmul(h, {(0, 1): 1, (0, 0): 3}), P.pmul(h, _q(5, 1)),
+         (h, {(0, 1): 1, (0, 0): 3}, _q(5, 1))),
+        # z - q - qz, q - 1 - z: coprime
+        ({(0, 1): 1, (1, 0): -1, (1, 1): -1}, {(0, 0): -1, (0, 1): -1, (1, 0): 1},
+         ({(0, 0): 1}, {(0, 1): 1, (1, 0): -1, (1, 1): -1},
+          {(0, 0): -1, (0, 1): -1, (1, 0): 1})),
+    ]
+    for a, b, (g, fa, fb) in cases:
+        assert P.pgcd(a, b) == (g, fa, fb)
+        assert P.pgcd(b, a) == (g, fb, fa)
+
+
+def test_prs_division_pinned():
+    # long division by divisors of two or more terms, then inexact ones
+    # that fail in an integer, in q, and on the z-degree
+    cases = [
+        ({(0, 0): -4, (1, 0): -3, (2, 0): -2, (3, 0): 15}, _q(-4, 5), _q(1, 2, 3)),
+        ({(0, 1): 14, (1, 2): 2, (1, 0): 7, (2, 1): -20, (3, 2): -3},
+         {(0, 0): 7, (1, 1): 1}, {(1, 0): 1, (2, 1): -3, (0, 1): 2}),
+        ({(0, 3): 1, (1, 1): 3, (0, 2): -2, (1, 0): -6, (1, 3): 1, (2, 1): 3,
+          (1, 2): -2, (2, 0): -6},
+         {(0, 1): 1, (0, 0): -2, (1, 1): 1, (1, 0): -2}, {(1, 0): 3, (0, 2): 1}),
+        ({(-2, 4): 6, (-1, 3): 2, (0, 4): 3, (1, 3): 1}, {(1, 0): 3, (2, -1): 1},
+         {(-1, 4): 1, (-3, 4): 2}),
+    ]
+    for a, b, quo in cases:
+        assert P.pdivexact(a, b) == quo
+    inexact = [
+        (_q(3, 3), _q(2, 2)),                      # leads 3 by 2
+        ({(2, 1): 1, (0, 1): 1, (0, 0): 1},        # z-leads q^2 + 1 by q + 1
+         {(1, 1): 1, (0, 1): 1}),
+        ({(0, 1): 1, (1, 0): 1}, {(0, 2): 1, (1, 0): 1}),  # z-degree 1 by 2
+    ]
+    for a, b in inexact:
+        with pytest.raises(ValueError):
+            P.pdivexact(a, b)
 
 
 def test_gcd_cofactors_on_every_branch():
