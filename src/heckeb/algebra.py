@@ -135,6 +135,16 @@ LOOP_POWER_MAX = (None, (LOOP_EXP_MAX + 1,) * 2, (20, 16), (9, 7), (6, 5), (4, 3
                   (3, 2), (3, 1), (3, 1)) + ((2, 0),) * 6 + ((1, 0),)
 
 
+def refused_loop_power(letters):
+    """The first letter ("loop", j, e) with j >= 1 among letters whose |e|
+    LOOP_POWER_MAX refuses, or None."""
+    table = LOOP_POWER_MAX
+    for kind, j, e in letters:
+        if kind == "loop" and j and (j >= len(table) or abs(e) > table[j][e < 0]):
+            return kind, j, e
+    return None
+
+
 def _acc(out, key, c):
     """Add the coefficient c into out[key], dropping the key at zero."""
     cur = out.get(key)
@@ -200,7 +210,6 @@ def swap_loops(K, e):
         pivot = (((1, K),), perm_id(2))
         c0 = U.get(pivot)
         assert c0 is not None and len(c0) == 1, "pivot term missing"
-        cc, cqe, cze = P.pmonomial_parts(c0)
         acc = {}
         rest = AlgebraElement(2)
         for wk, c in U.items():
@@ -215,7 +224,7 @@ def swap_loops(K, e):
             _acc(acc, _h2_exps(wk), c)
         res = []
         for (a, b, g), c in sorted(acc.items()):
-            q = P.pdivexact_mono(c, cc, cqe, cze)
+            q = P.pdivexact(c, c0)
             assert a + b == K + e, "degree drift in swap"
             res.append((q, a, b, g))
         out = tuple(res)
@@ -435,11 +444,10 @@ def rmul_loop(el, j, e):
     """Right multiply by the commuting loop letter tj^e."""
     if j == 0:
         return rmul_axis(el, e)
-    most = LOOP_POWER_MAX[j][e < 0]
-    if abs(e) > most:
+    if refused_loop_power((("loop", j, e),)):
         raise WordError(
             "loop power t%d^%d; |exponent| <= %d for %s powers of t%d"
-            % (j, e, most, "inverse" if e < 0 else "positive", j)
+            % (j, e, LOOP_POWER_MAX[j][e < 0], "inverse" if e < 0 else "positive", j)
         )
     sgn = 1 if e > 0 else -1
     cur = el

@@ -23,6 +23,7 @@ modeled is by a linear span of imposed identities, so substitution only
 ever replaces a whole monomial.
 """
 
+from .algebra import refused_loop_power
 from .scalars import rf_int, rf_invmap
 from .trace import (
     Equation,
@@ -33,7 +34,7 @@ from .trace import (
     mono_level,
     mono_str,
 )
-from .words import enumerate_abs_level, enumerate_level
+from .words import bbm_image, enumerate_abs_level, enumerate_level
 
 
 class SystemBundle:
@@ -56,11 +57,24 @@ class SystemBundle:
 
 
 def generate_system(p, k_max, side="+"):
-    """Bundle the level 0..k_max sources with both move signs, fixed order."""
+    """Bundle the level 0..k_max sources with both move signs, fixed order.
+
+    A k_max whose band move images hold a loop power past
+    algebra.LOOP_POWER_MAX (t5^5 at level 9) is a ValueError before any
+    trace. The negative side is traced through the flip, so the positive
+    images hold the loop powers of both sides.
+    """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     if p < 1 or k_max < 0:
         raise ValueError("need p >= 1 and k_max >= 0")
+    for k in range(k_max + 1):
+        images = [bbm_image(m, s, p) for m in enumerate_level(k, "+") for s in (1, -1)]
+        bad = refused_loop_power(x for w in images for x in w.letters)
+        if bad:
+            raise ValueError(
+                "need k_max <= %d; level %d builds the loop power t%d^%d" % (k - 1, k, *bad[1:])
+            )
     eqs = []
     for k in range(k_max + 1):
         lvl = k if side == "+" else -k

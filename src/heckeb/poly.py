@@ -12,8 +12,9 @@ and a degree check prove they multiply back to the inputs (heuristic
 gcd, GCDHEU). A rejected candidate is retried with a different packing;
 a primitive remainder sequence (PRS) is the last resort. pgcd returns
 the two cofactors with the gcd, so reducing a fraction takes no
-division. Exact division (pdivexact) by a polynomial that is not a
-monomial is the PRS's long division. The PRS is one recursive copy on
+division. pdivexact is the one exact division: a monomial divisor
+(an integer content among them) divides every coefficient, and any other
+divisor takes the PRS's long division. The PRS is one recursive copy on
 these dicts, over z, q and the integers, and uses no packing: the tests
 check pgcd against it.
 """
@@ -108,40 +109,11 @@ def pcontent(a):
     return math.gcd(*a.values())
 
 
-def pdivexact_int(a, c):
-    out = {}
-    for k, v in a.items():
-        d, r = divmod(v, c)
-        if r:
-            raise ValueError("inexact integer division")
-        out[k] = d
-    return out
-
-
-def pdivexact_mono(a, c, qe, ze):
-    """Divide by the monomial c*q^qe*z^ze; every coeff must divide."""
-    out = {}
-    for k, v in a.items():
-        d, r = divmod(v, c)
-        if r:
-            raise ValueError("inexact monomial division")
-        out[(k[0] - qe, k[1] - ze)] = d
-    return out
-
-
 def pminexp(a):
     """Componentwise minimum of exponents; (0, 0) for the zero poly."""
     if not a:
         return (0, 0)
     return (min(a)[0], min(a, key=_zexp)[1])
-
-
-def pmonomial_parts(a):
-    """For a one-term polynomial return (coeff, qexp, zexp)."""
-    if len(a) != 1:
-        raise ValueError("not a monomial")
-    ((qe, ze), c) = next(iter(a.items()))
-    return c, qe, ze
 
 
 def _var_power(name, e):
@@ -366,7 +338,14 @@ def pdivexact(a, b):
         return {}
     qb, zb = pminexp(b)
     if len(b) == 1:
-        return pdivexact_mono(a, b[(qb, zb)], qb, zb)
+        c = b[(qb, zb)]
+        out = {}
+        for (qe, ze), v in a.items():
+            d, r = divmod(v, c)
+            if r:
+                raise ValueError("inexact monomial division")
+            out[(qe - qb, ze - zb)] = d
+        return out
     qa, za = pminexp(a)
     out = _divexact(pshift(a, -qa, -za), pshift(b, -qb, -zb), 1)
     return pshift(out, qa - qb, za - zb)

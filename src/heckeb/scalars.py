@@ -11,12 +11,12 @@ The constructor reduces arbitrary input by a polynomial gcd. The field
 operations never take the gcd of a product (Henrici's method; Knuth,
 TAOCP vol. 2, 4.5.1), because their inputs are already reduced:
 
-  * a/b * c/d cancels gcd(a, d) and gcd(c, b) first; the product of the
-    cofactors is then reduced. Division multiplies by d/c.
-  * many fractions x_i = n_i/d_i times one a/b (rf_scale_terms) cancel
-    gcd(a, d_i) once per distinct denominator d_i, and gcd(n_i, b) per
-    term, none when b = 1. The rules of a band-move system share a few
-    denominators, mostly powers of N = z+1-q.
+  * every product, single or batched, is rf_scale_terms: many fractions
+    x_i = n_i/d_i times one a/b cancel gcd(a, d_i) once per distinct
+    denominator d_i, and gcd(n_i, b) per term, none when b = 1; the
+    product of the cofactors is then reduced. x * y is the case of one
+    term, and x / y multiplies by the inverse of y. The rules of a
+    band-move system share a few denominators, mostly powers of N = z+1-q.
   * a/b +- c/d with g = gcd(b, d) forms t = a (d/g) +- c (b/g) over
     b (d/g); only gcd(t, g) can cancel. When a denominator is 1, or b
     and d are coprime, no gcd is taken at all; when b = d, g = b.
@@ -24,7 +24,8 @@ TAOCP vol. 2, 4.5.1), because their inputs are already reduced:
 
 A cancellation calls P.pgcd, which returns the cofactors a/g and b/g
 with the gcd, so no exact division follows it. A gcd against a monomial
-reduces to an integer gcd of contents, because monomials are units.
+reduces to an integer gcd of contents, because monomials are units, and
+P.pdivexact divides that content out.
 
 The module also provides the loop-removal constant lam = (z+1-q)/(qz),
 the variable substitution map q -> q^{-1}, z -> lam*z (rf_invmap), which
@@ -52,7 +53,8 @@ def _cancel(a, b):
             c = math.gcd(P.pcontent(a), P.pcontent(b))
         if c == 1:
             return a, b, P.PONE
-        return P.pdivexact_int(a, c), P.pdivexact_int(b, c), P.pconst(c)
+        c = P.pconst(c)
+        return P.pdivexact(a, c), P.pdivexact(b, c), c
     g, a, b = P.pgcd(a, b)
     return a, b, g
 
@@ -128,8 +130,6 @@ class RatFunc:
         one = P.PONE
         if b == d:
             g, bq, dq = b, one, one
-        elif b == one or d == one:
-            g, bq, dq = one, b, d
         else:
             bq, dq, g = _cancel(b, d)
         t = op(P.pmul(a, dq), P.pmul(c, bq))
@@ -138,17 +138,6 @@ class RatFunc:
         # t is prime to bq and dq, so only a factor of g can cancel
         t, g, _ = _cancel(t, g)
         return RatFunc._reduced(t, P.pmul(P.pmul(g, bq), dq))
-
-    @staticmethod
-    def _product(a, b, c, d):
-        """(a/b)(c/d) for coprime pairs (a, b) and (c, d)."""
-        if not a or not c:
-            return RatFunc({})
-        if d != P.PONE:
-            a, d, _ = _cancel(a, d)
-        if b != P.PONE:
-            c, b, _ = _cancel(c, b)
-        return RatFunc._reduced(P.pmul(a, c), P.pmul(b, d))
 
     def __add__(self, other):
         return self._combine(other, P.padd)
@@ -160,12 +149,13 @@ class RatFunc:
         return RatFunc._reduced(P.pneg(self.num), self.den)
 
     def __mul__(self, other):
-        return RatFunc._product(self.num, self.den, other.num, other.den)
+        ((_, r),) = rf_scale_terms({None: self}, other)
+        return r
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero value")
-        return RatFunc._product(self.num, self.den, other.den, other.num)
+        return self * other.inverse()
 
     def inverse(self):
         if self.is_zero():
@@ -192,18 +182,18 @@ class RatFunc:
 
 
 def rf_scale_terms(terms, f):
-    """Yield (key, x * f) for every item of the dict terms, f nonzero.
+    """Yield (key, x * f) for every item of the dict terms.
 
-    The products are those of x * f, but with f = a/b, gcd(a, d) is taken
-    once per distinct denominator d of the x, and gcd(n, b) once per
-    numerator n, not at all when b = 1.
+    Every product of fractions, x * f included, is this one. With x = n/d
+    and f = a/b, gcd(a, d) is taken once per distinct denominator d of the
+    x, and gcd(n, b) once per numerator n, not at all when b = 1.
     """
     a, b = f.num, f.den
     b_one = b == P.PONE
     by_den = {}
     for key, x in terms.items():
         n, d = x.num, x.den
-        if not n:
+        if not n or not a:
             yield key, RatFunc({})
             continue
         dkey = frozenset(d.items())

@@ -43,6 +43,7 @@ from .algebra import (
 )
 from .scalars import (
     RatFunc,
+    RF_ONE,
     RF_ZERO,
     delta_pow,
     lam_pow,
@@ -153,12 +154,9 @@ class TraceValue:
     def __init__(self, terms=None):
         self.terms = {} if terms is None else terms
 
-    @staticmethod
-    def from_poly_terms(d):
-        return TraceValue({m: RatFunc.from_poly(v) for m, v in d.items()})
-
     def is_zero(self):
-        return not self.terms
+        # a stored zero coefficient is absent to __eq__, and so here
+        return all(c.is_zero() for c in self.terms.values())
 
     def add_term(self, m, c):
         if c.is_zero():
@@ -172,12 +170,6 @@ class TraceValue:
             del self.terms[m]
         else:
             self.terms[m] = s
-
-    def sub(self, other):
-        out = TraceValue(dict(self.terms))
-        for m, c in other.terms.items():
-            out.add_term(m, -c)
-        return out
 
     def scale(self, r):
         if r.is_zero():
@@ -232,7 +224,7 @@ class TraceValue:
 
 def trace(el):
     """The trace of a canonical-form element."""
-    return TraceValue.from_poly_terms(_trace_element(el))
+    return TraceValue({m: RatFunc.from_poly(v) for m, v in _trace_element(el).items()})
 
 
 def trace_of_word(word):
@@ -376,7 +368,9 @@ class Equation:
         self.rhs = rhs
 
     def residual(self):
-        return self.lhs.sub(self.rhs)
+        out = TraceValue(dict(self.lhs.terms))
+        out.add_scaled(self.rhs, -RF_ONE)
+        return out
 
     def key(self):
         return (self.source.entries, self.sign)

@@ -57,14 +57,16 @@ def _at_least(suite, name, value, least):
 
 def _at_most(suite, name, value, letters, where=""):
     """ValueError unless letters(v), v = 1..value, fit algebra.LOOP_POWER_MAX."""
-    table = A.LOOP_POWER_MAX
     for v in range(1, value + 1):
-        for kind, idx, e in letters(v):
-            if kind == "loop" and idx:
-                if idx >= len(table) or abs(e) > table[idx][e < 0]:
-                    raise ValueError(
-                        "suite %s needs %s <= %d%s" % (suite, name, v - 1, where)
-                    )
+        if A.refused_loop_power(letters(v)):
+            raise ValueError("suite %s needs %s <= %d%s" % (suite, name, v - 1, where))
+
+
+def _image_letters(p_list, k):
+    """The letters of the band move images of the level k positive sources."""
+    sources = enumerate_level(k, "+")
+    images = [bbm_image(m, s, pp) for pp in p_list for m in sources for s in (1, -1)]
+    return [x for w in images for x in w.letters]
 
 
 class _Ledger:
@@ -534,6 +536,7 @@ def suite_lemma4(p=None, k=3):
     exactly where it holds (below the twist modulus).
     """
     p_list = (2, 3) if p is None else (_at_least("lemma4", "p", p, 1),)
+    _at_most("lemma4", "k", k, lambda kk: [("loop", 1, kk), ("loop", 1, -kk)])
     ledger = _Ledger()
     for pp in p_list:
         for text, want in _axis_move_goldens(pp):
@@ -584,8 +587,10 @@ def suite_theorem9(p=3, k=3):
     """
     from .lens import compare_mirror  # here, so that no other suite loads lens
 
+    p_all = range(1, _at_least("theorem9", "p", p, 1) + 1)
+    _at_most("theorem9", "k", k, lambda kk: _image_letters(p_all, kk))
     ledger = _Ledger()
-    for pp in range(1, _at_least("theorem9", "p", p, 1) + 1):
+    for pp in p_all:
         rep = compare_mirror(pp, k)
         ledger.checked += len(rep["entries"])
         if not rep["exact_below_p"]:
@@ -696,6 +701,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
 
 def suite_grading(p=2, k=4):
     """Trace levels: sources sit at level k, band images at level p + k."""
+    _at_most("grading", "k", k, lambda kk: _image_letters([p], kk))
     ledger = _Ledger()
     for kk in range(0, int(k) + 1):
         for m in enumerate_level(kk, "+"):
@@ -718,9 +724,7 @@ def suite_triangular(n=3, k=4):
     signs = {}  # observed sign -> first word showing it
     for m in enumerate_abs_level(int(k), int(n), primed=False):
         e = m.entries
-        if not e or not m.gap_free:
-            continue
-        if any(e[i][1] > e[i + 1][1] for i in range(len(e) - 1)):
+        if not e:
             continue
         el = A.project_braid(m.as_word())
         tau_key = order_key(e)

@@ -355,8 +355,9 @@ def enumerate_abs_level(abs_max, n_max, primed=True):
     """All ordered loop monomials with sum(|exp|) <= abs_max, indices < n_max.
 
     Enumerates the mixed-sign ordered family used by the closed-form trace
-    and triangularity experiments. Deterministic order: by generator count,
-    then lex on exponent tuples.
+    and triangularity experiments. Each is gap-free (indices 0, 1, ...) with
+    nondecreasing nonzero exponents, so its entries read as a multiset.
+    Deterministic order: by generator count, then lex on exponent tuples.
     """
     out = [LoopMonomial((), primed=primed)]
     for parts in range(1, min(n_max, abs_max) + 1):

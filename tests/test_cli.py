@@ -240,6 +240,15 @@ def test_verify_rejects_suites_that_check_nothing(capsys, argv, err):
     assert got.startswith("error: " + err), got
 
 
+def _forbid_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(verify, "trace_of_word", no_work)
+    monkeypatch.setattr(algebra, "rmul_sigma", no_work)
+    monkeypatch.setattr(algebra, "rmul_axis", no_work)
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -257,6 +266,11 @@ def test_verify_rejects_suites_that_check_nothing(capsys, argv, err):
         # from these k on they would build t5^-4
         (("prop2", "--k", "9"), "suite prop2 needs k <= 8"),
         (("flip", "--k", "8"), "suite flip needs k <= 7"),
+        # lemma4 builds t1^-k; from level 9 on a band move image holds t5^5
+        (("lemma4", "--p", "2", "--k", "66"), "suite lemma4 needs k <= 65"),
+        (("theorem9", "--p", "1", "--k", "9"), "suite theorem9 needs k <= 8"),
+        (("theorem9", "--p", "3", "--k", "9"), "suite theorem9 needs k <= 8"),
+        (("grading", "--p", "2", "--k", "9"), "suite grading needs k <= 8"),
     ],
 )
 def test_verify_bounds_suite_parameters_by_loop_powers(capsys, monkeypatch, argv, err):
@@ -264,19 +278,23 @@ def test_verify_bounds_suite_parameters_by_loop_powers(capsys, monkeypatch, argv
     # refuses; the refusal names the suite parameter and comes before any
     # trace or multiplication
     if err is not None:
-
-        def no_work(*args):
-            raise AssertionError("worked before refusing")
-
-        monkeypatch.setattr(verify, "trace_of_word", no_work)
-        monkeypatch.setattr(algebra, "rmul_sigma", no_work)
-        monkeypatch.setattr(algebra, "rmul_axis", no_work)
+        _forbid_work(monkeypatch)
     code, out, got = run(capsys, "verify", "--suite", *argv)
     if err is None:
         assert (code, got) == (0, ""), got
         assert out.startswith("%s: PASS" % argv[0])
     else:
         assert (code, out, got) == (1, "", "error: %s\n" % err)
+
+
+@pytest.mark.parametrize("command", ["gen-system", "reduce", "mirror"])
+def test_lens_commands_bound_k_max_by_loop_powers(capsys, monkeypatch, command):
+    # a level 9 band move image holds t5^5, past algebra.LOOP_POWER_MAX;
+    # the refusal names k_max and comes before any trace or multiplication
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, command, "--p", "2", "--k-max", "9")
+    want = "error: need k_max <= 8; level 9 builds the loop power t5^5\n"
+    assert (code, out, err) == (1, "", want)
 
 
 def test_experiment_generates_each_side_once(capsys, monkeypatch):

@@ -62,7 +62,7 @@ def test_minexp_and_content():
     a = {(2, -1): 4, (3, 5): -6}
     assert P.pminexp(a) == (2, -1)
     assert P.pcontent(a) == 2
-    assert P.pdivexact_int(a, 2) == {(2, -1): 2, (3, 5): -3}
+    assert P.pdivexact(a, P.pconst(2)) == {(2, -1): 2, (3, 5): -3}
 
 
 def test_divexact_roundtrip():

@@ -21,6 +21,7 @@ from heckeb.scalars import (
     rf_z,
 )
 from heckeb.trace import (
+    Equation,
     TraceDomainError,
     TraceValue,
     XValue,
@@ -47,6 +48,13 @@ from heckeb.words import (
 Q = rf_mono(1, 1, 0)
 QI = rf_mono(1, -1, 0)
 Z = rf_z()
+
+
+def _minus(a, b):
+    """a - b for trace values."""
+    out = TraceValue(dict(a.terms))
+    out.add_scaled(b, -RF_ONE)
+    return out
 
 
 def rand_word(rng, n, length):
@@ -128,9 +136,14 @@ def test_trace_value_ordering():
 
 
 def test_scale_and_add_scaled_match_term_by_term():
-    # the batched products of scale and add_scaled against RatFunc * and +
-    # one term at a time, on coefficients over shared denominators
+    # the batched products of scale and add_scaled against products rebuilt
+    # through the RatFunc constructor and RatFunc +, one term at a time, on
+    # coefficients over shared denominators
     rng = random.Random(27)
+
+    def times(c, r):
+        return RatFunc(pmul(c.num, r.num), pmul(c.den, r.den))
+
     n = RF_ONE + Z - Q
     dens = [RF_ONE, Q * Z, n, n * n, n * n * n * Q, (RF_ONE + Q * Q) * n]
 
@@ -145,10 +158,10 @@ def test_scale_and_add_scaled_match_term_by_term():
         shared = next(m for m in b.terms if m in a.terms)
         # the last factor makes the shared monomial cancel to zero
         for r in (rng.choice(dens).inverse() * n, coeff(), -a.terms[shared] / b.terms[shared]):
-            assert a.scale(r).terms == {m: c * r for m, c in a.terms.items()}
+            assert a.scale(r).terms == {m: times(c, r) for m, c in a.terms.items()}
             want = dict(a.terms)
             for m, c in b.terms.items():
-                total = want.get(m, RF_ZERO) + c * r
+                total = want.get(m, RF_ZERO) + times(c, r)
                 if total.is_zero():
                     del want[m]
                 else:
@@ -160,13 +173,41 @@ def test_scale_and_add_scaled_match_term_by_term():
         assert shared not in got.terms
 
 
+def test_zero_trace_value_has_one_form():
+    # a stored zero coefficient is zero to is_zero as it is to ==
+    stored = TraceValue({(1,): RF_ZERO})
+    assert stored == TraceValue() and stored.is_zero()
+    assert not TraceValue({(1,): RF_ZERO, (2,): Q}).is_zero()
+    # so zero has no parity from either side
+    a = XValue(2, 0, TraceValue())
+    b = XValue(2, 1, stored)
+    assert a == b and b == a
+
+
+def test_residual_is_the_termwise_difference():
+    eqs = [eq for m in enumerate_level(2, "+") for eq in bbm_equation_pair(m, 2)]
+    # one side of s[1] cancels and one of s[2] is left over
+    lhs = TraceValue({(1,): Q, (2,): Z})
+    eqs.append(Equation(LoopMonomial(()), 1, 2, 0, RF_ONE, lhs, TraceValue({(1,): Q, (3,): Z})))
+    for eq in eqs:
+        lhs_before, rhs_before = dict(eq.lhs.terms), dict(eq.rhs.terms)
+        want = {}
+        for m in set(eq.lhs.terms) | set(eq.rhs.terms):
+            d = eq.lhs.terms.get(m, RF_ZERO) - eq.rhs.terms.get(m, RF_ZERO)
+            if not d.is_zero():
+                want[m] = d
+        assert eq.residual().terms == want
+        assert (eq.lhs.terms, eq.rhs.terms) == (lhs_before, rhs_before)
+    assert set(want) == {(2,), (3,)}
+
+
 def test_trace_value_arithmetic():
     a = TraceValue({(1,): Q})
     b = TraceValue({(1,): RF_ONE, (2,): Z})
     total = TraceValue(dict(a.terms))
     total.add_scaled(b, RF_ONE)
     assert total == TraceValue({(1,): Q + RF_ONE, (2,): Z})
-    assert a.sub(a).is_zero()
+    assert _minus(a, a).is_zero()
     assert b.scale(Q).terms.get((2,), RF_ZERO) == Q * Z
     assert b.terms.get((5,), RF_ZERO) == rf_int(0)
     c = TraceValue()
@@ -238,7 +279,7 @@ def test_bbm_equation_empty_source():
     assert eq.coeff == Z.inverse()
     assert eq.lhs == TraceValue({(): RF_ONE})
     assert eq.rhs == TraceValue({(2,): RF_ONE})
-    assert eq.residual() == eq.lhs.sub(eq.rhs)
+    assert eq.residual() == _minus(eq.lhs, eq.rhs)
 
 
 def test_bbm_equation_axis_source():
@@ -272,7 +313,7 @@ def test_bbm_equation_cross_check_runs():
                     c_src, parity = closure_scalar(word_src)
                     assert x_src.parity == x_img.parity == parity
                     diff = eq.residual()
-                    assert diff.scale(c_src) == x_src.terms.sub(x_img.terms), (str(m), sign, p)
+                    assert diff.scale(c_src) == _minus(x_src.terms, x_img.terms), (str(m), sign, p)
 
 
 def test_bbm_equation_rejects_wrong_coefficient(monkeypatch):

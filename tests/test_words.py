@@ -239,6 +239,23 @@ def test_enumerate_abs_level():
     assert not any(m.primed for m in plain)
 
 
+def test_enumerate_abs_level_is_gap_free_and_nondecreasing():
+    # suite_triangular and lens._probes read each entry list as a multiset
+    # of exponents on strands 0, 1, ...: indices count up from 0 and the
+    # exponents never decrease
+    for primed in (True, False):
+        for abs_max in range(7):
+            for n_max in range(1, 7):
+                out = enumerate_abs_level(abs_max, n_max, primed=primed)
+                assert len({m.entries for m in out}) == len(out)
+                for m in out:
+                    idx = [i for i, _ in m.entries]
+                    exps = [e for _, e in m.entries]
+                    assert idx == list(range(len(exps))) and len(exps) <= n_max
+                    assert exps == sorted(exps) and 0 not in exps
+                    assert sum(map(abs, exps)) <= abs_max
+
+
 def test_compare_order_examples():
     # lower exponent sum first; gaps lower the order; higher top exponent wins
     t2 = LoopMonomial(((0, 2),), primed=True)
