@@ -190,7 +190,8 @@ def unprime_loop(K):
 
 
 def swap_loops(K, e):
-    """Reorder t1'^K t^e as a combination of t^a t1'^b g1^{0|1} words.
+    """Reorder t1'^K t^e for nonzero K and e (a stored loop past an axis
+    power, as insert_loop asks) as a combination of t^a t1'^b g1^{0|1} words.
 
     Solved from t^e t1^K = t1^K t^e using the expansion of t1^K: the
     unique bare t1'^K term there has an invertible monomial coefficient,
@@ -201,34 +202,28 @@ def swap_loops(K, e):
     hit = _swap_cache.get(key)
     if hit is not None:
         return hit
-    if e == 0:
-        out = ((P.pconst(1), 0, K, 0),)
-    elif K == 0:
-        out = ((P.pconst(1), e, 0, 0),)
-    else:
-        U = unprime_loop(K).terms
-        pivot = (((1, K),), perm_id(2))
-        c0 = U.get(pivot)
-        assert c0 is not None and len(c0) == 1, "pivot term missing"
-        acc = {}
-        rest = AlgebraElement(2)
-        for wk, c in U.items():
-            a, b, g = _h2_exps(wk)
-            # t^e t1^K, with t^e prepended
-            _acc(acc, (a + e, b, g), c)
-            if wk != pivot:
-                assert g or abs(b) < abs(K), "swap recursion must shrink"
-                rest.terms[wk] = P.pneg(c)
-        # minus t1^K t^e without the pivot word
-        for wk, c in rmul_axis(rest, e).terms.items():
-            _acc(acc, _h2_exps(wk), c)
-        res = []
-        for (a, b, g), c in sorted(acc.items()):
-            q = P.pdivexact(c, c0)
-            assert a + b == K + e, "degree drift in swap"
-            res.append((q, a, b, g))
-        out = tuple(res)
-    _swap_cache[key] = out
+    U = unprime_loop(K).terms
+    pivot = (((1, K),), perm_id(2))
+    c0 = U.get(pivot)
+    assert c0 is not None and len(c0) == 1, "pivot term missing"
+    acc = {}
+    rest = AlgebraElement(2)
+    for wk, c in U.items():
+        a, b, g = _h2_exps(wk)
+        # t^e t1^K, with t^e prepended
+        _acc(acc, (a + e, b, g), c)
+        if wk != pivot:
+            assert g or abs(b) < abs(K), "swap recursion must shrink"
+            rest.terms[wk] = P.pneg(c)
+    # minus t1^K t^e without the pivot word
+    for wk, c in rmul_axis(rest, e).terms.items():
+        _acc(acc, _h2_exps(wk), c)
+    res = []
+    for (a, b, g), c in sorted(acc.items()):
+        q = P.pdivexact(c, c0)
+        assert a + b == K + e, "degree drift in swap"
+        res.append((q, a, b, g))
+    out = _swap_cache[key] = tuple(res)
     return out
 
 
@@ -412,8 +407,6 @@ def _tail_table(perm, tail):
 
 def rmul_axis(el, e):
     """Right multiply by the axis loop t^e."""
-    if e == 0:
-        return AlgebraElement(el.n, dict(el.terms))
     one = P.PONE
     out = {}
     for (loops, perm), c in el.terms.items():

@@ -107,7 +107,9 @@ def _cmd_enum(args):
         lvl = -abs(lvl)
     elif args.side != "+":
         raise WordError("enum supports side + or -")
-    words = enumerate_level(lvl, args.side)
+    elif lvl < 0:
+        raise WordError("side + needs level >= 0")
+    words = enumerate_level(lvl)
     _emit(
         args,
         lambda: "\n".join(str(m) for m in words) if words else "(empty)",

@@ -69,7 +69,7 @@ def generate_system(p, k_max, side="+"):
     if p < 1 or k_max < 0:
         raise ValueError("need p >= 1 and k_max >= 0")
     for k in range(k_max + 1):
-        images = [bbm_image(m, s, p) for m in enumerate_level(k, "+") for s in (1, -1)]
+        images = [bbm_image(m, s, p) for m in enumerate_level(k) for s in (1, -1)]
         bad = refused_loop_power(x for w in images for x in w.letters)
         if bad:
             raise ValueError(
@@ -77,8 +77,7 @@ def generate_system(p, k_max, side="+"):
             )
     eqs = []
     for k in range(k_max + 1):
-        lvl = k if side == "+" else -k
-        for m in enumerate_level(lvl, side):
+        for m in enumerate_level(k if side == "+" else -k):
             eqs.extend(bbm_equation_pair(m, p))
     return SystemBundle(p, k_max, side, tuple(eqs))
 

@@ -12,8 +12,8 @@ and a degree check prove they multiply back to the inputs (heuristic
 gcd, GCDHEU). A rejected candidate is retried with a different packing;
 a primitive remainder sequence (PRS) is the last resort. pgcd returns
 the two cofactors with the gcd, so reducing a fraction takes no
-division. pdivexact is the one exact division: a monomial divisor
-(an integer content among them) divides every coefficient, and any other
+division. pdivexact is the one exact division: a monomial divisor, such
+as algebra's loop-swap pivot, divides every coefficient, and any other
 divisor takes the PRS's long division. The PRS is one recursive copy on
 these dicts, over z, q and the integers, and uses no packing: the tests
 check pgcd against it.
@@ -70,8 +70,6 @@ def pshift(a, qe, ze):
 
 
 def pmul(a, b):
-    if not a or not b:
-        return {}
     if len(b) == 1:
         ((qe, ze), c) = next(iter(b.items()))
         return {(k[0] + qe, k[1] + ze): v * c for k, v in a.items()}
@@ -308,10 +306,9 @@ def pgcd(a, b):
         a = {k: v // ca for k, v in a.items()}
     if cb != 1:
         b = {k: v // cb for k, v in b.items()}
-    # a = g * fa and b = g * fb, with g primitive up to sign
-    if len(a) == 1 or len(b) == 1:
-        g, fa, fb = {(0, 0): 1}, a, b
-    elif a == b:
+    # a = g * fa and b = g * fb, with g primitive up to sign; a monomial
+    # here is +-1, so the heuristic's first integer gcd gives g = 1
+    if a == b:
         g, fa, fb = a, {(0, 0): 1}, {(0, 0): 1}
     else:
         out = _heu_gcd(a, b)
@@ -334,8 +331,6 @@ def pdivexact(a, b):
     divisor takes the long division of the PRS below."""
     if not b:
         raise ZeroDivisionError("zero divisor")
-    if not a:
-        return {}
     qb, zb = pminexp(b)
     if len(b) == 1:
         c = b[(qb, zb)]

@@ -24,8 +24,9 @@ TAOCP vol. 2, 4.5.1), because their inputs are already reduced:
 
 A cancellation calls P.pgcd, which returns the cofactors a/g and b/g
 with the gcd, so no exact division follows it. A gcd against a monomial
-reduces to an integer gcd of contents, because monomials are units, and
-P.pdivexact divides that content out.
+reduces to an integer gcd of contents, because monomials are units: when
+a content is 1 or the contents are coprime, no gcd is taken, and
+otherwise P.pgcd cancels the shared content.
 
 The module also provides the loop-removal constant lam = (z+1-q)/(qz),
 the variable substitution map q -> q^{-1}, z -> lam*z (rf_invmap), which
@@ -45,16 +46,12 @@ def _cancel(a, b):
     """(a/g, b/g, g) for g a gcd of nonzero a and b, normalized as by
     P.pgcd."""
     mono = a if len(a) == 1 else b if len(b) == 1 else None
-    if mono is not None:
-        # monomials are units, so only an integer can cancel:
-        # gcd(3 - 3z, 3z) = 3
-        c = P.pcontent(mono)
-        if c != 1:
-            c = math.gcd(P.pcontent(a), P.pcontent(b))
-        if c == 1:
-            return a, b, P.PONE
-        c = P.pconst(c)
-        return P.pdivexact(a, c), P.pdivexact(b, c), c
+    # monomials are units, so only an integer can cancel, as in
+    # gcd(3 - 3z, 3z) = 3, which pgcd takes
+    if mono is not None and (
+        P.pcontent(mono) == 1 or math.gcd(P.pcontent(a), P.pcontent(b)) == 1
+    ):
+        return a, b, P.PONE
     g, a, b = P.pgcd(a, b)
     return a, b, g
 
@@ -100,12 +97,6 @@ class RatFunc:
         r.den = den
         r._normalize_units()
         return r
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_poly(a):
-        return RatFunc(dict(a))
 
     # -- predicates ----------------------------------------------------
 

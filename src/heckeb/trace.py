@@ -43,7 +43,6 @@ from .algebra import (
 )
 from .scalars import (
     RatFunc,
-    RF_ONE,
     RF_ZERO,
     delta_pow,
     lam_pow,
@@ -95,18 +94,14 @@ def _trace_word(n, loops, perm):
     hit = _trace_cache.get(key)
     if hit is not None:
         return hit
-    if n == 1:
-        if loops:
-            out = {(loops[0][1],): P.pconst(1)}
-        else:
-            out = {(): P.pconst(1)}
-        out = _trace_cache[key] = _intern(out)
-        return out
     top = n - 1
     top_loop = loops[-1][1] if loops and loops[-1][0] == top else None
     blocks = perm_blocks(perm)
     top_block = blocks[-1] if blocks and blocks[-1][0] == top else None
-    if top_loop is None and top_block is None:
+    if not n:
+        # tr(1) = 1; one strand has no braiding and takes the top-loop rule
+        out = {(): P.pconst(1)}
+    elif top_loop is None and top_block is None:
         out = _trace_word(n - 1, loops, perm[: n - 1])
     elif top_block is None:
         rest = _trace_word(n - 1, loops[:-1], perm[: n - 1])
@@ -178,8 +173,6 @@ class TraceValue:
 
     def add_scaled(self, other, r):
         """self += r * other, in place."""
-        if r.is_zero():
-            return
         for m, c in rf_scale_terms(other.terms, r):
             self.add_term(m, c)
 
@@ -224,7 +217,7 @@ class TraceValue:
 
 def trace(el):
     """The trace of a canonical-form element."""
-    return TraceValue({m: RatFunc.from_poly(v) for m, v in _trace_element(el).items()})
+    return TraceValue({m: RatFunc(v) for m, v in _trace_element(el).items()})
 
 
 def trace_of_word(word):
@@ -369,7 +362,8 @@ class Equation:
 
     def residual(self):
         out = TraceValue(dict(self.lhs.terms))
-        out.add_scaled(self.rhs, -RF_ONE)
+        for m, c in self.rhs.terms.items():
+            out.add_term(m, -c)
         return out
 
     def key(self):

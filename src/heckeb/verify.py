@@ -64,7 +64,7 @@ def _at_most(suite, name, value, letters, where=""):
 
 def _image_letters(p_list, k):
     """The letters of the band move images of the level k positive sources."""
-    sources = enumerate_level(k, "+")
+    sources = enumerate_level(k)
     images = [bbm_image(m, s, pp) for pp in p_list for m in sources for s in (1, -1)]
     return [x for w in images for x in w.letters]
 
@@ -501,28 +501,28 @@ def _axis_move_goldens(p):
     qi1 = _qm1(-1, 0)
     out = []
     want = TraceValue()
-    want.add_term(_s_mono(1, p), RatFunc.from_poly(_qm1(1, 1)))
+    want.add_term(_s_mono(1, p), RatFunc(_qm1(1, 1)))
     want.add_term(
         _s_mono(p + 1),
-        RatFunc.from_poly(P.padd(P.pshift(P.pmul(q1, q1), 0, 1), P.pmono(1, 1, 1))),
+        RatFunc(P.padd(P.pshift(P.pmul(q1, q1), 0, 1), P.pmono(1, 1, 1))),
     )
     out.append(("t^%d t1 g1" % p, want))
     want = TraceValue()
     want.add_term(_s_mono(1, p), rf_mono(1, 1, 0))
-    want.add_term(_s_mono(p + 1), RatFunc.from_poly({(1, 1): 1, (0, 1): -1}))
+    want.add_term(_s_mono(p + 1), RatFunc({(1, 1): 1, (0, 1): -1}))
     out.append(("t^%d t1" % p, want))
     want = TraceValue()
     want.add_term(_s_mono(-1, p), rf_mono(1, -1, 0))
     c = P.padd(P.pshift(_qm1(-1, -1), 0, 1), P.pmul(qi1, qi1))
-    want.add_term(_s_mono(p - 1), RatFunc.from_poly(c))
+    want.add_term(_s_mono(p - 1), RatFunc(c))
     out.append(("t^%d t1^-1" % p, want))
     want = TraceValue()
-    want.add_term(_s_mono(-1, p), RatFunc.from_poly(_qm1(-1, -1)))
+    want.add_term(_s_mono(-1, p), RatFunc(_qm1(-1, -1)))
     c = P.pshift(P.pmul(_qm1(-1, -1), qi1), 0, 1)
     c = P.padd(c, P.pmul(qi1, P.pmul(qi1, qi1)))
     c = P.padd(c, _qm1(-1, -1))
     c = P.padd(c, P.pmono(1, -2, 1))
-    want.add_term(_s_mono(p - 1), RatFunc.from_poly(c))
+    want.add_term(_s_mono(p - 1), RatFunc(c))
     out.append(("t^%d t1^-1 g1^-1" % p, want))
     return out
 
@@ -607,7 +607,7 @@ def suite_theorem9(p=3, k=3):
                 ledger.fail(check="mismatch-not-degenerate", p=pp, source=row["source"])
             if row["status"] == "index-out-of-range":
                 ledger.fail(check="image-domain", p=pp, source=row["source"])
-        for kk in range(1, int(k) + 1):
+        for kk in range(1, k + 1):
             for eps in (1, -1):
                 _formal_mirror(ledger, pp, kk, eps)
     notes = [
@@ -624,12 +624,12 @@ def suite_prop2(p=None, k=3):
     p_list = (2, 3) if p is None else (_at_least("prop2", "p", p, 0),)
 
     def words(kk):
-        return [w.as_word() for m in enumerate_level(kk, "+") for w in (m, m.flip())]
+        return [w.as_word() for m in enumerate_level(kk) for w in (m, m.flip())]
 
     _at_most("prop2", "k", k, lambda kk: [x for w in words(kk) for x in w.letters])
     ledger = _Ledger()
-    for kk in range(0, int(k) + 1):
-        for m in enumerate_level(kk, "+"):
+    for kk in range(0, k + 1):
+        for m in enumerate_level(kk):
             tv_pos = trace_of_word(m.as_word())
             tv_neg = trace_of_word(m.flip().as_word())
             ledger.check(
@@ -662,7 +662,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
     exponents = (-2, -1, 1, 2)  # every loop power the seeded words can draw must fit
 
     def images(pp, kk):
-        return [bbm_image(m, sign, pp) for m in enumerate_level(-kk, "-") for sign in (1, -1)]
+        return [bbm_image(m, sign, pp) for m in enumerate_level(-kk) for sign in (1, -1)]
 
     _at_most("flip", "n", n, lambda nn: [("loop", nn - 1, e) for e in exponents])
     # f(image) inverts the image's loop powers, and no index allows fewer positive powers
@@ -687,7 +687,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
             letters.append(letter + (rng.choice(exponents),))
         check("random-word", MixedBraidWord(nn, tuple(letters)))
     for pp in p_list:
-        for kk in range(0, int(k) + 1):
+        for kk in range(0, k + 1):
             for w in images(pp, kk):
                 check("band-move-image", w)
     notes = [
@@ -703,11 +703,11 @@ def suite_grading(p=2, k=4):
     """Trace levels: sources sit at level k, band images at level p + k."""
     _at_most("grading", "k", k, lambda kk: _image_letters([p], kk))
     ledger = _Ledger()
-    for kk in range(0, int(k) + 1):
-        for m in enumerate_level(kk, "+"):
+    for kk in range(0, k + 1):
+        for m in enumerate_level(kk):
             for eq in bbm_equation_pair(m, p):
                 bad = [mono_str(mono) for mono in eq.lhs.terms if mono_level(mono) != kk] + [
-                    mono_str(mono) for mono in eq.rhs.terms if mono_level(mono) != int(p) + kk
+                    mono_str(mono) for mono in eq.rhs.terms if mono_level(mono) != p + kk
                 ]
                 ledger.check(not bad, source=m, sign=eq.sign, **{"off-level": ", ".join(bad)})
     return ledger.report("grading", {"p": p, "k": k})

@@ -239,8 +239,6 @@ class LoopMonomial(_Value):
 
 def loop_monomial_of_word(w):
     """Read a word consisting only of loop letters as a LoopMonomial."""
-    if not w.letters:
-        return LoopMonomial(())
     kinds = {k for k, _, _ in w.letters}
     if "sigma" in kinds:
         raise WordError("braiding letters in a loop monomial")
@@ -319,36 +317,28 @@ def _compositions(total, parts):
 _LEVEL_MAX = 16  # level k has 2^(|k|-1) words
 
 
-def enumerate_level(k, side):
-    """Loop monomials of the requested exponent sum.
+def enumerate_level(k):
+    """The gap-free loop monomials of exponent sum k whose exponents all
+    have the sign of k.
 
-    side "+": gap-free, all exponents positive (k >= 0; 2^(k-1) words for
-    k >= 1, the empty word for k = 0). side "-": the exponent flips of the
-    "+" enumeration at level -k, in matching order (requires k <= 0 with
-    this convention: pass the desired sum). Every word is built in memory,
-    so |k| above 16 (2^15 = 32768 words at the limit) is a WordError.
+    For k >= 1 the 2^(k-1) words with positive exponents, the empty word
+    for k = 0, and for k < 0 the exponent flips of level -k, in matching
+    order. Every word is built in memory, so |k| above 16 (2^15 = 32768
+    words at the limit) is a WordError.
     """
-    if side not in ("+", "-"):
-        raise WordError("side must be '+' or '-'")
     if abs(k) > _LEVEL_MAX:
         raise WordError(
             "level %d has 2^%d words; |level| <= %d" % (k, abs(k) - 1, _LEVEL_MAX)
         )
-    if side == "+":
-        if k < 0:
-            raise WordError("positive side needs k >= 0")
-        if k == 0:
-            return [LoopMonomial(())]
-        out = []
-        for parts in range(1, k + 1):
-            for comp in _compositions(k, parts):
-                out.append(
-                    LoopMonomial(tuple(enumerate(comp)))
-                )
-        return out
-    if k > 0:
-        raise WordError("negative side needs k <= 0")
-    return [m.flip() for m in enumerate_level(-k, "+")]
+    if k < 0:
+        return [m.flip() for m in enumerate_level(-k)]
+    if k == 0:
+        return [LoopMonomial(())]
+    out = []
+    for parts in range(1, k + 1):
+        for comp in _compositions(k, parts):
+            out.append(LoopMonomial(tuple(enumerate(comp))))
+    return out
 
 
 def enumerate_abs_level(abs_max, n_max, primed=True):

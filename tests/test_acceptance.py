@@ -171,7 +171,7 @@ def test_c11_enumeration_count():
     """Positive gap-free words of level k number exactly 2^(k-1)."""
     t0 = time.monotonic()
     for k in range(1, 9):
-        assert len(enumerate_level(k, "+")) == 2 ** (k - 1)
+        assert len(enumerate_level(k)) == 2 ** (k - 1)
     assert time.monotonic() - t0 < 1
 
 
@@ -189,7 +189,7 @@ def test_c13_total_order():
     t0 = time.monotonic()
     pool = []
     for k in range(1, 6):
-        pool.extend(enumerate_level(k, "+"))
+        pool.extend(enumerate_level(k))
     assert len(pool) == 31
     for a, b in itertools.product(pool, repeat=2):
         c = compare_order(a, b)

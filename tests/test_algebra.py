@@ -163,7 +163,7 @@ def test_band_move_words_within_loop_power_limit():
     # traced through the exponent flip); every source and image of level
     # <= 8 is within the limits
     for level in range(9):
-        for m in enumerate_level(level, "+"):
+        for m in enumerate_level(level):
             for w in (m.as_word(), bbm_image(m, 1, 2)):
                 for kind, j, e in w.letters:
                     if kind == "loop" and j >= 2:
@@ -473,9 +473,10 @@ def test_rmul_sigma_matches_per_term_path():
 def test_rmul_axis_matches_per_term_path():
     rng = random.Random(72)
     for n in range(2, 6):
-        for e in (1, -1, 2, -2):
+        for e in (1, -1, 2, -2, 0):
             for _ in range(15):
                 el = _rand_element(rng, n)
                 before = copy.deepcopy(el.terms)
                 ref = _ref_rmul_axis(el, e)
                 _assert_fused_matches(A.rmul_axis(el, e), ref, el, before)
+                assert e or ref == el

@@ -84,6 +84,9 @@ def test_enum(capsys):
     assert out == "t^2\nt t1\n"
     code, out, _ = run(capsys, "enum", "--level", "1", "--side", "-")
     assert out == "t^-1\n"
+    # side + takes a level >= 0
+    code, out, _ = run(capsys, "enum", "--level", "-2", "--side", "+")
+    assert code == 1 and out == ""
 
 
 def test_enum_level_limit(capsys):

@@ -89,7 +89,7 @@ def test_negative_equations_match_the_direct_trace():
             want = [
                 _direct_negative_equation(m, sign, p)
                 for lvl in range(0, -k - 1, -1)
-                for m in enumerate_level(lvl, "-")
+                for m in enumerate_level(lvl)
                 for sign in (1, -1)
             ]
             assert len(eqs) == len(want)
@@ -141,7 +141,7 @@ def test_mirror_equation_below_modulus_is_exact():
     # the direct positive one, values included
     for p in (2, 3):
         for level in range(0, p):
-            for src in enumerate_level(level, "+"):
+            for src in enumerate_level(level):
                 pos = bbm_equation(src, 1, p)
                 neg = bbm_equation(src.flip(), -1, p)
                 mir = mirror_equation(neg, p)

@@ -77,7 +77,7 @@ BROKEN = {"verify-broken": BROKEN_ARGS, "verify-broken-g1": BROKEN_G1_ARGS}
 
 
 def _loop_words():
-    return [str(m) for lvl, side in ((3, "+"), (-3, "-")) for m in enumerate_level(lvl, side)]
+    return [str(m) for lvl in (3, -3) for m in enumerate_level(lvl)]
 
 
 def _commands(name):

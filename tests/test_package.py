@@ -149,3 +149,17 @@ def test_every_private_name_has_a_caller_in_src():
     # of an algorithm left behind by a refactor, is dead code
     dead = [qualname for qualname, _ in _uncalled(_source_trees(), private=True)]
     assert not dead, dead
+
+
+def test_every_module_import_is_used():
+    # a deletion can leave behind an import that nothing in its module names
+    unused = []
+    for mod, tree in _source_trees().items():
+        names = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in names:
+                        unused.append("%s.%s" % (mod, bound))
+    assert not unused, unused

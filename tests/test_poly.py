@@ -48,6 +48,16 @@ def test_mul_ring_laws():
         assert P.pmul(a, P.PONE) == a
 
 
+def test_zero_operands():
+    q1 = {(0, 0): 1, (1, 0): 1}
+    for a in ({(1, 2): -3}, q1):
+        assert P.pmul({}, a) == P.pmul(a, {}) == {}
+        assert P.pdivexact({}, a) == {}
+    assert P.pmul({}, {}) == {}
+    with pytest.raises(ZeroDivisionError):
+        P.pdivexact({}, {})
+
+
 def test_shift_scale_pow():
     a = {(0, 0): 1, (1, 2): -3}
     assert P.pshift(a, 2, -1) == {(2, -1): 1, (3, 1): -3}
@@ -306,6 +316,21 @@ def test_gcd_cofactors_on_every_branch():
         _assert_gcd(b, a)
     g, fa, fb = P.pgcd(_scale(qm1, -3), _scale(qm1, -6))
     assert (g, fa, fb) == ({(1, 0): 3, (0, 0): -3}, {(0, 0): -1}, {(0, 0): -2})
+
+
+def test_gcd_of_monomial_inputs():
+    # a monomial is a unit, so the gcd is the gcd of the integer contents
+    q1 = {(0, 0): 1, (1, 0): 1}
+    cases = [
+        ({(2, 1): 1}, q1, {(0, 0): 1}, {(2, 1): 1}, q1),
+        ({(1, 0): 6}, _scale(q1, 4), {(0, 0): 2}, {(1, 0): 3}, _scale(q1, 2)),
+        ({(0, 1): 3}, {(0, 0): 3, (0, 1): -3}, {(0, 0): 3}, {(0, 1): 1}, {(0, 0): 1, (0, 1): -1}),
+        ({(2, 1): 6}, {(0, 3): -4}, {(0, 0): 2}, {(2, 1): 3}, {(0, 3): -2}),
+    ]
+    for a, b, g, fa, fb in cases:
+        assert P.pgcd(a, b) == (g, fa, fb)
+        assert P.pgcd(b, a) == (g, fb, fa)
+        assert _assert_gcd(a, b) == g
 
 
 def test_inexact_division_raises():

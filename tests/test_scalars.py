@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from heckeb import poly as P
 from heckeb.poly import pconst, pmul
 from heckeb.scalars import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    _cancel,
     big_n,
     delta_pow,
     lam,
@@ -224,10 +226,20 @@ def test_products_and_quotients_match_constructor_rebuild():
 
 
 def test_cancel_divides_out_integer_content():
-    # against a monomial only an integer content can cancel; no workload
-    # reaches this branch, so it is pinned here
+    # against a monomial only an integer content can cancel, and pgcd
+    # cancels it; no workload has such a shared content, so it is pinned here
     assert str(RatFunc({(0, 0): 3, (0, 1): -3}, {(0, 1): 3})) == "z^-1 - 1"
     assert str(rf_mono(6, 1, 0) / rf_int(4)) == "(3*q)/(2)"
+
+
+def test_cancel_takes_no_gcd_for_a_coprime_content(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("pgcd called")
+
+    monkeypatch.setattr(P, "pgcd", no_gcd)
+    a, b = {(0, 1): 3}, {(0, 0): 2, (1, 0): 4}
+    assert _cancel(a, b) == (a, b, {(0, 0): 1})
+    assert _cancel(b, {(1, 1): -1}) == (b, {(1, 1): -1}, {(0, 0): 1})
 
 
 def test_scale_terms_match_term_by_term_products():

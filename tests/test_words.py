@@ -93,6 +93,7 @@ def test_loop_monomial_of_word():
     assert m.entries == ((0, 2), (1, 1), (2, 3))
     assert m.level == 6
     assert not m.primed
+    assert loop_monomial_of_word(parse_word("1")) == LoopMonomial((), primed=False)
     # the axis belongs to both families, so t^a t1'^b reads as primed
     assert loop_monomial_of_word(parse_word("t^2 t1'^3")).primed
     with pytest.raises(WordError):
@@ -188,32 +189,28 @@ def test_as_word_strands():
 
 def test_enumerate_level_counts():
     for k in range(1, 9):
-        assert len(enumerate_level(k, "+")) == 2 ** (k - 1)
-    assert enumerate_level(0, "+") == [LoopMonomial((), primed=False)]
+        assert len(enumerate_level(k)) == 2 ** (k - 1)
+    assert enumerate_level(0) == [LoopMonomial((), primed=False)]
 
 
 def test_enumerate_level_contents():
-    pos = enumerate_level(3, "+")
+    pos = enumerate_level(3)
     assert {tuple(e for _, e in m.entries) for m in pos} == {
         (3,), (1, 2), (2, 1), (1, 1, 1)
     }
     for m in pos:
         assert m.gap_free and m.level == 3 and not m.primed
-    with pytest.raises(WordError):
-        enumerate_level(3, "-")  # the negative side takes the signed sum
-    neg = enumerate_level(-3, "-")
+    neg = enumerate_level(-3)
     assert {m.entries for m in neg} == {m.flip().entries for m in pos}
     for m in neg:
         assert m.level == -3
 
 
 def test_enumerate_level_bounds():
-    assert len(enumerate_level(16, "+")) == 2 ** 15
-    for k, side in ((17, "+"), (-17, "-"), (40, "+")):
+    assert len(enumerate_level(16)) == 2 ** 15
+    for k in (17, -17, 40):
         with pytest.raises(WordError):
-            enumerate_level(k, side)
-    with pytest.raises(WordError):
-        enumerate_level(2, "ordered")
+            enumerate_level(k)
 
 
 def test_enumerate_abs_level():
@@ -279,7 +276,7 @@ def test_compare_order_examples():
 
 
 def test_order_key_total_on_level():
-    pool = enumerate_level(4, "+")
+    pool = enumerate_level(4)
     ranked = sorted(pool, key=lambda m: order_key(m.entries))
     for i in range(len(ranked) - 1):
         assert compare_order(ranked[i], ranked[i + 1]) < 0
