@@ -28,15 +28,12 @@ from .words import (
     f_map_word,
     loop_monomial_of_word,
     parse_word,
-    word_to_json,
-    word_to_text,
 )
 
 
-def _read_word_arg(text):
-    if text == "-":
-        return sys.stdin.read().strip()
-    return text
+def _read_word(text, n):
+    """Parse a word argument; - reads the word from stdin."""
+    return parse_word(sys.stdin.read().strip() if text == "-" else text, n=n)
 
 
 def _emit(args, text_fn, json_obj):
@@ -46,46 +43,38 @@ def _emit(args, text_fn, json_obj):
         print(text_fn())
 
 
-def _cmd_normalize(args):
-    el = project_braid(parse_word(_read_word_arg(args.word), n=args.n))
-    _emit(args, lambda: str(el), el.to_json())
-    return 0
-
-
-def _cmd_trace(args):
-    tv = trace_of_word(parse_word(_read_word_arg(args.word), n=args.n))
-    _emit(args, lambda: str(tv), tv.to_json())
-    return 0
-
-
-def _cmd_invariant(args):
-    x = invariant_x(parse_word(_read_word_arg(args.word), n=args.n))
-    _emit(args, lambda: str(x), x.to_json())
-    return 0
-
-
 def _sign_of_side(side):
     if side not in ("+", "-"):
         raise WordError("side must be + or -")
     return 1 if side == "+" else -1
 
 
-def _cmd_bbm(args):
-    m = loop_monomial_of_word(parse_word(_read_word_arg(args.word), n=args.n))
-    w = bbm_image(m, _sign_of_side(args.side), args.p)
-    _emit(args, lambda: word_to_text(w), word_to_json(w))
-    return 0
+_TWIST = ("--p", {"type": int, "required": True, "help": "twist modulus"})
+
+# The word commands read one word, compute one answer and print it through
+# str() or to_json(); name -> (help, extra options, answer(word, args)),
+# in the order `heckeb --help` lists them.
+_WORD_COMMANDS = {
+    "normalize": ("canonical form of a word", (), lambda w, a: project_braid(w)),
+    "trace": ("trace of a word", (), lambda w, a: trace_of_word(w)),
+    "invariant": ("closure invariant of a word", (), lambda w, a: invariant_x(w)),
+    "bbm": (
+        "band move image of a loop word",
+        (_TWIST, ("--side", {"default": "+", "help": "move sign: + or -"})),
+        lambda w, a: bbm_image(loop_monomial_of_word(w), _sign_of_side(a.side), a.p),
+    ),
+    "fmap": ("exponent-flip image of a word", (), lambda w, a: f_map_word(w)),
+    "imap": (
+        "index-map image of a word's trace",
+        (_TWIST,),
+        lambda w, a: map_I(trace_of_word(w), a.p),
+    ),
+}
 
 
-def _cmd_fmap(args):
-    w = f_map_word(parse_word(_read_word_arg(args.word), n=args.n))
-    _emit(args, lambda: word_to_text(w), word_to_json(w))
-    return 0
-
-
-def _cmd_imap(args):
-    tv = trace_of_word(parse_word(_read_word_arg(args.word), n=args.n))
-    out = map_I(tv, args.p)
+def _word_command(args):
+    _, _, answer = _WORD_COMMANDS[args.command]
+    out = answer(_read_word(args.word, args.n), args)
     _emit(args, lambda: str(out), out.to_json())
     return 0
 
@@ -93,8 +82,8 @@ def _cmd_imap(args):
 def _cmd_order(args):
     if args.left == "-" and args.right == "-":
         raise WordError("only one of the two words can be read from stdin")
-    a = loop_monomial_of_word(parse_word(_read_word_arg(args.left), n=args.n))
-    b = loop_monomial_of_word(parse_word(_read_word_arg(args.right), n=args.n))
+    a = loop_monomial_of_word(_read_word(args.left, args.n))
+    b = loop_monomial_of_word(_read_word(args.right, args.n))
     c = compare_order(a, b)
     name = {-1: "Less", 0: "Equal", 1: "Greater"}[c]
     _emit(args, lambda: name, {"order": name})
@@ -284,26 +273,11 @@ def build_parser():
     wordp.add_argument("word", help="braid word, or - to read it from stdin")
     wordp.add_argument("--n", type=int, default=None, help="strand count override")
 
-    p = sub.add_parser("normalize", parents=[wordp, fmt], help="canonical form of a word")
-    p.set_defaults(fn=_cmd_normalize)
-
-    p = sub.add_parser("trace", parents=[wordp, fmt], help="trace of a word")
-    p.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser("invariant", parents=[wordp, fmt], help="closure invariant of a word")
-    p.set_defaults(fn=_cmd_invariant)
-
-    p = sub.add_parser("bbm", parents=[wordp, fmt], help="band move image of a loop word")
-    p.add_argument("--p", type=int, required=True, help="twist modulus")
-    p.add_argument("--side", default="+", help="move sign: + or -")
-    p.set_defaults(fn=_cmd_bbm)
-
-    p = sub.add_parser("fmap", parents=[wordp, fmt], help="exponent-flip image of a word")
-    p.set_defaults(fn=_cmd_fmap)
-
-    p = sub.add_parser("imap", parents=[wordp, fmt], help="index-map image of a word's trace")
-    p.add_argument("--p", type=int, required=True, help="twist modulus")
-    p.set_defaults(fn=_cmd_imap)
+    for name, (text, options, _) in _WORD_COMMANDS.items():
+        p = sub.add_parser(name, parents=[wordp, fmt], help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=_word_command)
 
     p = sub.add_parser("order", parents=[fmt], help="compare two loop words")
     p.add_argument("left", help="first loop word, or -")

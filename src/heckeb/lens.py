@@ -1,15 +1,16 @@
 """Band-move equation systems at a fixed twist modulus, and their reduction.
 
-A band move with modulus p turns a loop monomial tau into t^p tau_+ s_1^e
-(indices shifted up, e = +-1) and imposes the trace identity assembled by
-bbm_equation. generate_system collects those identities for every source
-of weighted level 0..k_max on one side of the exponent sign split, both
-signs of a source at once through bbm_equation_pair, which traces the
-source once and projects the stem t^p tau_+ of the two images once. On
-the negative side both are traced through the exponent flip f and mapped
-back with Phi (trace.map_flip), so only positive loops are multiplied.
+A band move with modulus p turns a loop monomial tau into t^p tau_+ g1^e
+(indices shifted up, e = +-1) and imposes a trace identity.
+generate_system collects those identities for every source of weighted
+level 0..k_max on one side of the exponent sign split, both signs of a
+source at once through trace.bbm_equation_pair, which traces the source
+once and projects the stem t^p tau_+ of the two images once. On the
+negative side both are traced through the exponent flip f and mapped back
+with Phi (trace.map_flip), so only positive loops are multiplied.
 compare_mirror pushes the negative-side bundle through the
-index/coefficient flip map and diffs it against the positive side.
+index/coefficient flip map (mirror_equation) and diffs it against the
+positive side.
 reduce_system eliminates exactly over the rational-function field,
 rewriting the monomial carrying the largest index at least p. Its rules
 r.rules are one dict head -> value, in creation order, and no value
@@ -34,7 +35,7 @@ from .trace import (
     mono_level,
     mono_str,
 )
-from .words import bbm_image, enumerate_abs_level, enumerate_level
+from .words import band_move_letters, enumerate_abs_level, enumerate_level
 
 
 class SystemBundle:
@@ -69,8 +70,7 @@ def generate_system(p, k_max, side="+"):
     if p < 1 or k_max < 0:
         raise ValueError("need p >= 1 and k_max >= 0")
     for k in range(k_max + 1):
-        images = [bbm_image(m, s, p) for m in enumerate_level(k) for s in (1, -1)]
-        bad = refused_loop_power(x for w in images for x in w.letters)
+        bad = refused_loop_power(band_move_letters((p,), k))
         if bad:
             raise ValueError(
                 "need k_max <= %d; level %d builds the loop power t%d^%d" % (k - 1, k, *bad[1:])
@@ -82,16 +82,16 @@ def generate_system(p, k_max, side="+"):
     return SystemBundle(p, k_max, side, tuple(eqs))
 
 
-def mirror_equation(eq, p):
-    """Index-flip image of one equation: source flipped, move sign swapped."""
+def mirror_equation(eq):
+    """Index-flip image of one equation at its modulus: source flipped,
+    move sign swapped."""
     return Equation(
         source=eq.source.flip(),
         sign=-eq.sign,
-        p=p,
-        level=-eq.level,
+        p=eq.p,
         coeff=rf_invmap(eq.coeff),
-        lhs=map_I(eq.lhs, p),
-        rhs=map_I(eq.rhs, p),
+        lhs=map_I(eq.lhs, eq.p),
+        rhs=map_I(eq.rhs, eq.p),
     )
 
 
@@ -115,7 +115,7 @@ def compare_mirror(p, k_max):
         k = -e.level
         row = {"source": str(e.source), "sign": "+" if e.sign > 0 else "-", "level": k}
         try:
-            img = mirror_equation(e, p)
+            img = mirror_equation(e)
         except TraceDomainError as exc:
             row["status"] = "index-out-of-range"
             row["detail"] = str(exc)

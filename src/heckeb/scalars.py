@@ -206,7 +206,6 @@ def rf_mono(c, qe=0, ze=0):
 
 
 RF_ZERO = rf_int(0)
-RF_ONE = rf_int(1)
 
 
 def big_n():
@@ -217,10 +216,6 @@ def big_n():
 def lam():
     """The loop-removal scalar (z + 1 - q) / (q z)."""
     return RatFunc(big_n(), P.pmono(1, 1, 1))
-
-
-def lam_pow(k):
-    return lam() ** k
 
 
 def rf_z():

@@ -20,12 +20,11 @@ With m = n-1+e, a = floor(m/2) and N = z+1-q, c(w) is the fraction
 N^(a-(n-1)) q^((n-1)-a) z^(-a) times w^(m mod 2), so an XValue is a
 parity bit and rational-function terms. map_I is the variable flip
 q -> q^{-1}, z -> lam z extended to s-indices for a modulus p, and
-map_flip (Phi) extends it by s_j -> s_{-j}. bbm_equation assembles the
-trace identity a band move imposes, checking that its coefficient is the
-ratio of the two closure scalars. bbm_equation_pair assembles both signs
-of one source from one trace of the source and one projection of the
-shared stem of the two image words. A source of negative level is traced
-through the exponent flip f (words.f_map_word), as tr(w) = Phi(tr(f(w))).
+map_flip (Phi) extends it by s_j -> s_{-j}. bbm_equation_pair assembles
+the two trace identities that the band moves of one source impose, one per
+move sign, from one trace of the source and one projection of the shared
+stem of the two image words. A source of negative level is traced through
+the exponent flip f (words.f_map_word), as tr(w) = Phi(tr(f(w))).
 The identity is checked, by the verify suite flip, on words in g_i, t and
 t_i, but not proved; f_map_word is not the algebra map on primed letters
 t_i', and the identity is not claimed for them.
@@ -45,7 +44,7 @@ from .scalars import (
     RatFunc,
     RF_ZERO,
     delta_pow,
-    lam_pow,
+    lam,
     rf_invmap,
     rf_mono,
     rf_scale_terms,
@@ -349,16 +348,19 @@ class Equation:
     relation is lhs = rhs.
     """
 
-    __slots__ = ("source", "sign", "p", "level", "coeff", "lhs", "rhs")
+    __slots__ = ("source", "sign", "p", "coeff", "lhs", "rhs")
 
-    def __init__(self, source, sign, p, level, coeff, lhs, rhs):
+    def __init__(self, source, sign, p, coeff, lhs, rhs):
         self.source = source
         self.sign = sign
         self.p = p
-        self.level = level
         self.coeff = coeff
         self.lhs = lhs
         self.rhs = rhs
+
+    @property
+    def level(self):
+        return self.source.level
 
     def residual(self):
         out = TraceValue(dict(self.lhs.terms))
@@ -384,11 +386,18 @@ class Equation:
 def bbm_coefficient(level, sign):
     """lam^level / z for the positive move, lam^(level-1) / z for the negative."""
     k = level if sign > 0 else level - 1
-    return lam_pow(k) * rf_mono(1, 0, -1)
+    return lam() ** k * rf_mono(1, 0, -1)
 
 
-def _bbm_equations(m, signs, p):
-    """bbm_equation(m, sign, p) for each sign in signs.
+def bbm_equation_pair(m, p):
+    """The two band move equations of a gap-free commuting loop monomial
+    m, move signs +1 then -1.
+
+    The move imposes X(source) = X(image), that is c(src) lhs = c(img) raw
+    with raw the trace of the image, so lhs = coeff raw where coeff is
+    the closure-scalar ratio c(img)/c(src) = d w^(2 level + sign). A
+    coefficient that is not this ratio means the coefficient or the
+    bookkeeping broke, and raises RuntimeError.
 
     The images t^p tau_+ g1^sign differ only in their last letter, so the
     stem t^p tau_+ is projected once and each image is the stem times
@@ -402,6 +411,7 @@ def _bbm_equations(m, signs, p):
     """
     if not isinstance(m, LoopMonomial):
         raise WordError("expected a loop monomial")
+    signs = (1, -1)
     images = [bbm_image(m, sign, p) for sign in signs]
     word_src = m.as_word()
     c_src, par_src = closure_scalar(word_src)
@@ -431,28 +441,17 @@ def _bbm_equations(m, signs, p):
                 source=m,
                 sign=sign,
                 p=p,
-                level=m.level,
                 coeff=coeff,
                 lhs=TraceValue(dict(lhs.terms)),
                 rhs=rhs.scale(coeff),
             )
         )
-    return out
+    return tuple(out)
 
 
 def bbm_equation(m, sign, p):
-    """The band move equation of a gap-free commuting loop monomial.
-
-    The move imposes X(source) = X(image), that is c(src) lhs = c(img) raw
-    with raw the trace of the image, so lhs = coeff raw where coeff is
-    the closure-scalar ratio c(img)/c(src) = d w^(2 level + sign). A
-    coefficient that is not this ratio means the coefficient or the
-    bookkeeping broke, and raises RuntimeError.
-    """
-    return _bbm_equations(m, (sign,), p)[0]
-
-
-def bbm_equation_pair(m, p):
-    """The two band move equations of m, signs +1 then -1, from one trace
-    of the source and one projection of the shared image stem."""
-    return tuple(_bbm_equations(m, (1, -1), p))
+    """The band move equation of m with move sign +1 or -1, selected
+    from bbm_equation_pair(m, p)."""
+    if sign not in (1, -1):
+        raise WordError("sign must be +1 or -1")
+    return bbm_equation_pair(m, p)[sign < 0]

@@ -31,6 +31,7 @@ from .trace import (
 )
 from .words import (
     MixedBraidWord,
+    band_move_letters,
     bbm_image,
     enumerate_abs_level,
     enumerate_level,
@@ -60,13 +61,6 @@ def _at_most(suite, name, value, letters, where=""):
     for v in range(1, value + 1):
         if A.refused_loop_power(letters(v)):
             raise ValueError("suite %s needs %s <= %d%s" % (suite, name, v - 1, where))
-
-
-def _image_letters(p_list, k):
-    """The letters of the band move images of the level k positive sources."""
-    sources = enumerate_level(k)
-    images = [bbm_image(m, s, pp) for pp in p_list for m in sources for s in (1, -1)]
-    return [x for w in images for x in w.letters]
 
 
 class _Ledger:
@@ -345,9 +339,8 @@ def suite_markov(n=4, samples=200, seed=DEFAULT_SEED):
         nn = rng.randrange(1, n)
         w = MixedBraidWord(nn, _random_letters(rng, nn, rng.randrange(0, 6)))
         base = trace_of_word(w)
-        big = w.with_strands(nn + 1)
         for s, factor in ((1, rf_z()), (-1, lam() * rf_z())):
-            stab = MixedBraidWord(nn + 1, big.letters + (("sigma", nn, s),))
+            stab = MixedBraidWord(nn + 1, w.letters + (("sigma", nn, s),))
             ledger.check(
                 trace_of_word(stab) == base.scale(factor), check="stabilization", sign=s, word=w
             )
@@ -373,9 +366,8 @@ def suite_invariance(n=4, samples=100, seed=DEFAULT_SEED):
         ledger.check(invariant_x(u * w * u.inverse()) == x, move="conjugation", word=w, by=u)
         axis = MixedBraidWord(nn, (("loop", 0, rng.choice((-1, 1))),))
         ledger.check(invariant_x(axis * w * axis.inverse()) == x, move="loop-conjugation", word=w)
-        big = w.with_strands(nn + 1)
         for s in (1, -1):
-            stab = MixedBraidWord(nn + 1, big.letters + (("sigma", nn, s),))
+            stab = MixedBraidWord(nn + 1, w.letters + (("sigma", nn, s),))
             ledger.check(invariant_x(stab) == x, move="stabilization", sign=s, word=w)
     return ledger.report("invariance", {"n": n, "samples": samples, "seed": seed})
 
@@ -588,7 +580,7 @@ def suite_theorem9(p=3, k=3):
     from .lens import compare_mirror  # here, so that no other suite loads lens
 
     p_all = range(1, _at_least("theorem9", "p", p, 1) + 1)
-    _at_most("theorem9", "k", k, lambda kk: _image_letters(p_all, kk))
+    _at_most("theorem9", "k", k, lambda kk: band_move_letters(p_all, kk))
     ledger = _Ledger()
     for pp in p_all:
         rep = compare_mirror(pp, k)
@@ -666,9 +658,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
 
     _at_most("flip", "n", n, lambda nn: [("loop", nn - 1, e) for e in exponents])
     # f(image) inverts the image's loop powers, and no index allows fewer positive powers
-    _at_most(
-        "flip", "k", k, lambda v: [x for pp in p_list for w in images(pp, v) for x in w.letters]
-    )
+    _at_most("flip", "k", k, lambda v: band_move_letters(p_list, -v))
     rng = random.Random(seed)
     ledger = _Ledger()
 
@@ -701,7 +691,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
 
 def suite_grading(p=2, k=4):
     """Trace levels: sources sit at level k, band images at level p + k."""
-    _at_most("grading", "k", k, lambda kk: _image_letters([p], kk))
+    _at_most("grading", "k", k, lambda kk: band_move_letters((p,), kk))
     ledger = _Ledger()
     for kk in range(0, k + 1):
         for m in enumerate_level(kk):

@@ -98,12 +98,20 @@ class MixedBraidWord(_Value):
             self.n, tuple((k, i, -e) for k, i, e in reversed(self.letters))
         )
 
-    def with_strands(self, n):
-        """The same letters viewed on n strands (n must be large enough)."""
-        return MixedBraidWord(n, self.letters)
-
     def __str__(self):
-        return word_to_text(self)
+        if not self.letters:
+            return "1"
+        parts = []
+        for kind, idx, exp in self.letters:
+            base = _letter_token(kind, idx)
+            parts.append(base if exp == 1 else "%s^%d" % (base, exp))
+        return " ".join(parts)
+
+    def to_json(self):
+        return {
+            "n": self.n,
+            "letters": [[_letter_token(k, i), e] for k, i, e in self.letters],
+        }
 
 
 def sigma_exponent_sum(w):
@@ -167,23 +175,6 @@ def _letter_token(kind, idx):
     return "t%d'" % idx
 
 
-def word_to_text(w):
-    if not w.letters:
-        return "1"
-    parts = []
-    for kind, idx, exp in w.letters:
-        base = _letter_token(kind, idx)
-        parts.append(base if exp == 1 else "%s^%d" % (base, exp))
-    return " ".join(parts)
-
-
-def word_to_json(w):
-    return {
-        "n": w.n,
-        "letters": [[_letter_token(k, i), e] for k, i, e in w.letters],
-    }
-
-
 # -- loop monomials -----------------------------------------------------
 
 
@@ -234,7 +225,7 @@ class LoopMonomial(_Value):
         )
 
     def __str__(self):
-        return word_to_text(self.as_word())
+        return str(self.as_word())
 
 
 def loop_monomial_of_word(w):
@@ -242,9 +233,7 @@ def loop_monomial_of_word(w):
     kinds = {k for k, _, _ in w.letters}
     if "sigma" in kinds:
         raise WordError("braiding letters in a loop monomial")
-    primed = kinds == {"ploop"} or (
-        "ploop" in kinds and all(k == "ploop" or i == 0 for k, i, _ in w.letters)
-    )
+    primed = "ploop" in kinds and all(k == "ploop" or i == 0 for k, i, _ in w.letters)
     if not primed and "ploop" in kinds:
         raise WordError("mixed primed and unprimed loop letters")
     entries = tuple((i, e) for _, i, e in w.letters)
@@ -273,6 +262,13 @@ def bbm_image(m, sign, p):
         letters.append(("loop", i + 1, e))
     letters.append(("sigma", 1, sign))
     return MixedBraidWord(n, tuple(letters))
+
+
+def band_move_letters(ps, k):
+    """The letters of both band move images of every level k source, at
+    each p in ps: the words a band-move level multiplies."""
+    sources = enumerate_level(k)
+    return [x for p in ps for m in sources for s in (1, -1) for x in bbm_image(m, s, p).letters]
 
 
 # -- the total order on loop monomials ----------------------------------

@@ -11,11 +11,12 @@ import random
 import time
 
 from heckeb.lens import back_substitution_check, generate_system, reduce_system
-from heckeb.scalars import RF_ONE, lam, rf_mono, rf_z
+from heckeb.scalars import lam, rf_int, rf_mono, rf_z
 from heckeb.trace import TraceValue, trace_of_word
 from heckeb.verify import run_suite
 from heckeb.words import (
     LoopMonomial,
+    MixedBraidWord,
     compare_order,
     enumerate_abs_level,
     enumerate_level,
@@ -24,6 +25,7 @@ from heckeb.words import (
 
 Q = rf_mono(1, 1, 0)
 Z = rf_z()
+RF_ONE = rf_int(1)
 N = RF_ONE + Z - Q
 
 
@@ -77,7 +79,7 @@ def test_c04_closed_form_trace():
     count = 0
     for m in enumerate_abs_level(5, 4, primed=True):
         expect = TraceValue({tuple(sorted(e for _, e in m.entries)): RF_ONE})
-        assert trace_of_word(m.as_word().with_strands(4)) == expect, str(m)
+        assert trace_of_word(MixedBraidWord(4, m.as_word().letters)) == expect, str(m)
         count += 1
     assert count == 68  # the full ordered enumeration at this size
     assert time.monotonic() - t0 < 30

@@ -17,7 +17,7 @@ from heckeb.lens import (
     reduce_system,
     reduce_value,
 )
-from heckeb.scalars import RF_ONE, rf_mono, rf_z
+from heckeb.scalars import rf_int, rf_mono, rf_z
 from heckeb.trace import (
     Equation,
     TraceValue,
@@ -31,6 +31,7 @@ from heckeb.words import bbm_image, enumerate_level
 Q = rf_mono(1, 1, 0)
 QI = rf_mono(1, -1, 0)
 Z = rf_z()
+RF_ONE = rf_int(1)
 N = RF_ONE + Z - Q  # the recurring denominator z + 1 - q
 
 
@@ -48,21 +49,16 @@ def test_generate_system_shape():
     assert len(b3.equations) == 2 * (1 + sum(2 ** (k - 1) for k in (1, 2, 3)))
 
 
-def test_generate_system_matches_single_sign_equations():
+def test_positive_equations_match_the_image_traces():
     # generate_system traces each source once and projects the shared
-    # image stem once; each equation must equal the per-sign
-    # bbm_equation, and on the positive side the re-derivation from its
-    # two words (the negative side is checked below)
+    # image stem once; on the positive side each equation must equal the
+    # re-derivation from its two words (the negative side is checked below)
     for p in (1, 2, 3, 4):
-        for side in ("+", "-"):
-            for e in generate_system(p, 3, side).equations:
-                ref = bbm_equation(e.source, e.sign, p)
-                assert e.lhs == ref.lhs and e.rhs == ref.rhs, (p, side, str(e.source))
-                assert e.coeff == ref.coeff and e.level == ref.level
-                if side == "+":
-                    assert e.lhs == trace_of_word(e.source.as_word())
-                    img = trace_of_word(bbm_image(e.source, e.sign, p))
-                    assert e.rhs == img.scale(e.coeff)
+        for e in generate_system(p, 3, "+").equations:
+            assert e.coeff == bbm_coefficient(e.level, e.sign)
+            assert e.lhs == trace_of_word(e.source.as_word()), (p, str(e.source))
+            img = trace_of_word(bbm_image(e.source, e.sign, p))
+            assert e.rhs == img.scale(e.coeff), (p, str(e.source))
 
 
 def _direct_negative_equation(m, sign, p):
@@ -73,7 +69,6 @@ def _direct_negative_equation(m, sign, p):
         source=m,
         sign=sign,
         p=p,
-        level=m.level,
         coeff=coeff,
         lhs=trace_of_word(m.as_word()),
         rhs=trace(project_braid(bbm_image(m, sign, p))).scale(coeff),
@@ -122,7 +117,7 @@ def test_generate_system_negative_side():
 
 
 def test_mirror_equation_flips_sources_and_signs():
-    mirrored = [mirror_equation(e, 2) for e in generate_system(2, 2, "-").equations]
+    mirrored = [mirror_equation(e) for e in generate_system(2, 2, "-").equations]
     assert [(str(e.source), e.sign) for e in mirrored] == [
         ("1", -1),
         ("1", 1),
@@ -144,7 +139,7 @@ def test_mirror_equation_below_modulus_is_exact():
             for src in enumerate_level(level):
                 pos = bbm_equation(src, 1, p)
                 neg = bbm_equation(src.flip(), -1, p)
-                mir = mirror_equation(neg, p)
+                mir = mirror_equation(neg)
                 assert mir.lhs == pos.lhs and mir.rhs == pos.rhs, (p, str(src))
 
 

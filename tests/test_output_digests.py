@@ -25,6 +25,17 @@ from heckeb.words import enumerate_level
 
 INVARIANT_WORDS = ("g1", "g1^3", "t t1^-2 g1^-1", "t^2 g2 t1'^-1 g1", "t2^-1 g1 t")
 
+# the word commands: one word in, one answer out, or an exit-1 error
+WORD_COMMAND_WORDS = ("t1", "t^2 t1'^3", "g1^-1 t t1^-2 g1", "t2^-1 g1 t g2'^2", "1")
+BBM_WORDS = ("t t1", "t^2", "1", "t t1^2 t2")
+WORD_COMMAND_ERRORS = (
+    ("normalize", "t99"),
+    ("trace", "q1"),
+    ("imap", "t^-1", "--p", "-1"),
+    ("bbm", "t1 t", "--p", "2"),
+    ("fmap", "g1 t1'"),
+)
+
 # the cli-cold benchmark's verify commands, flip, larger grids and rejected
 # parameters
 VERIFY_ARGS = (
@@ -90,6 +101,26 @@ def _commands(name):
             for w in INVARIANT_WORDS
             for fmt in ((), ("--format", "json"))
         ]
+    if name == "words":
+        out = [
+            (cmd, w, "--n", "3") + extra
+            for w in WORD_COMMAND_WORDS
+            for cmd, extra in (
+                ("normalize", ()),
+                ("trace", ()),
+                ("invariant", ()),
+                ("fmap", ()),
+                ("imap", ("--p", "2")),
+                ("imap", ("--p", "3")),
+            )
+        ]
+        out += [
+            ("bbm", w, "--p", "2", "--side", side)
+            for w in BBM_WORDS
+            for side in ("+", "-", "x")
+        ]
+        out += list(WORD_COMMAND_ERRORS)
+        return [argv + fmt for argv in out for fmt in ((), ("--format", "json"))]
     if name == "systems":
         out = []
         for argv in (
@@ -163,7 +194,7 @@ def _break_g1():
     which imports it by name; give every band move equation that
     verify builds an off-level term s_7."""
     from heckeb import trace, verify
-    from heckeb.scalars import RF_ONE
+    from heckeb.scalars import rf_int
 
     rmul_sigma = algebra.rmul_sigma
     pair = verify.bbm_equation_pair
@@ -175,7 +206,7 @@ def _break_g1():
     def off_level(m, p):
         eqs = pair(m, p)
         for eq in eqs:
-            eq.lhs.add_term((7,), RF_ONE)
+            eq.lhs.add_term((7,), rf_int(1))
         return eqs
 
     algebra.rmul_sigma = trace.rmul_sigma = broken
@@ -210,6 +241,7 @@ DIGESTS = {
     "verify": "c98811495586391d85291cc1f6a29d220e81cb1f5a8a401ffcae0fe8c8e04277",
     "verify-broken": "5de7cc09cc92706fd7363643fe2b85b15418d553f49be5f846de335ef47b4335",
     "verify-broken-g1": "32f84c39807c8cfdd70821e234a6bbc70d5bfa168d15d26a7e31c7f32b0faa09",
+    "words": "143215a2a09783a524d68defbfcb6e9d861928644a736c73c01eeb2751c008df",
 }
 
 

@@ -131,16 +131,40 @@ def _uncalled(trees, private):
                 yield "%s.%s" % (mod, qualname), node.name
 
 
-def test_every_public_name_has_a_caller_in_src_or_perfbench():
-    # a public name that only tests call is dead code with a test around it
-    perfbench = "\n".join(
+def _named_in_perfbench(name):
+    text = "\n".join(
         path.read_text() for path in sorted((SRC.parent / "perfbench").glob("*.py"))
     )
+    return re.search(r"\b%s\b" % re.escape(name), text) is not None
+
+
+def test_every_public_name_has_a_caller_in_src_or_perfbench():
+    # a public name that only tests call is dead code with a test around it
     dead = [
         qualname
         for qualname, name in _uncalled(_source_trees(), private=False)
-        if not re.search(r"\b%s\b" % re.escape(name), perfbench)
+        if not _named_in_perfbench(name)
     ]
+    assert not dead, dead
+
+
+def test_every_public_module_constant_has_a_reader_in_src_or_perfbench():
+    # the guard above sees functions, classes and methods; a module-level
+    # constant that nothing reads outside its assignment is dead too
+    trees = _source_trees()
+    counts = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if not isinstance(target, ast.Name) or target.id.startswith("_"):
+                    continue
+                name = target.id
+                unread = counts[name] == _referenced_names(node).count(name)
+                if unread and not _named_in_perfbench(name):
+                    dead.append("%s.%s" % (mod, name))
     assert not dead, dead
 
 

@@ -10,11 +10,9 @@ from heckeb.algebra import project_braid, rmul_sigma
 from heckeb.lens import generate_system
 from heckeb.poly import pconst, pmul, ppow
 from heckeb.scalars import (
-    RF_ONE,
     RF_ZERO,
     RatFunc,
     lam,
-    lam_pow,
     rf_int,
     rf_invmap,
     rf_mono,
@@ -40,6 +38,7 @@ from heckeb.trace import (
 from heckeb.words import (
     LoopMonomial,
     MixedBraidWord,
+    WordError,
     bbm_image,
     enumerate_level,
     parse_word,
@@ -48,6 +47,7 @@ from heckeb.words import (
 Q = rf_mono(1, 1, 0)
 QI = rf_mono(1, -1, 0)
 Z = rf_z()
+RF_ONE = rf_int(1)
 
 
 def _minus(a, b):
@@ -190,7 +190,7 @@ def test_residual_is_the_termwise_difference():
     eqs = [eq for m in enumerate_level(2) for eq in bbm_equation_pair(m, 2)]
     # one side of s[1] cancels and one of s[2] is left over
     lhs = TraceValue({(1,): Q, (2,): Z})
-    eqs.append(Equation(LoopMonomial(()), 1, 2, 0, RF_ONE, lhs, TraceValue({(1,): Q, (3,): Z})))
+    eqs.append(Equation(LoopMonomial(()), 1, 2, RF_ONE, lhs, TraceValue({(1,): Q, (3,): Z})))
     for eq in eqs:
         lhs_before, rhs_before = dict(eq.lhs.terms), dict(eq.rhs.terms)
         want = {}
@@ -235,7 +235,7 @@ def test_stabilization():
     for _ in range(8):
         n = rng.choice([2, 3])
         w = rand_word(rng, n, rng.randrange(1, 4))
-        up = w.with_strands(n + 1)
+        up = MixedBraidWord(n + 1, w.letters)
         pos = up * parse_word("g%d" % n, n=n + 1)
         neg = up * parse_word("g%d^-1" % n, n=n + 1)
         base = trace_of_word(w)
@@ -258,16 +258,16 @@ def test_map_index():
 def test_map_I():
     tv = TraceValue({(-2,): lam(), (-1, -1): Q})
     out = map_I(tv, 2)
-    assert out == TraceValue({(2,): lam_pow(-1), (1, 1): QI})
+    assert out == TraceValue({(2,): lam() ** -1, (1, 1): QI})
     with pytest.raises(TraceDomainError):
         map_I(TraceValue({(3,): RF_ONE}), 2)
 
 
 def test_bbm_coefficient():
     assert bbm_coefficient(0, 1) == Z.inverse()
-    assert bbm_coefficient(2, 1) == lam_pow(2) / Z
+    assert bbm_coefficient(2, 1) == lam() ** 2 / Z
     assert bbm_coefficient(1, -1) == Z.inverse()
-    assert bbm_coefficient(0, -1) == lam_pow(-1) / Z
+    assert bbm_coefficient(0, -1) == lam() ** -1 / Z
     for level in range(-3, 4):
         for sign in (1, -1):
             assert rf_invmap(bbm_coefficient(level, sign)) == bbm_coefficient(
@@ -297,7 +297,14 @@ def test_bbm_equation_negative_sign_coeff():
     eq = bbm_equation(LoopMonomial(((0, 1),)), -1, 3)
     assert eq.coeff == Z.inverse()
     eqm = bbm_equation(LoopMonomial(()), -1, 2)
-    assert eqm.coeff == lam_pow(-1) / Z
+    assert eqm.coeff == lam() ** -1 / Z
+
+
+def test_bbm_equation_rejects_a_sign_other_than_one():
+    m = LoopMonomial(((0, 1),))
+    for sign in (0, 2):
+        with pytest.raises(WordError):
+            bbm_equation(m, sign, 2)
 
 
 def test_bbm_equation_cross_check_runs():
@@ -394,7 +401,7 @@ def test_invariant_x_markov_moves():
         i = rng.randrange(1, n)
         conj = parse_word("g%d" % i, n=n) * w * parse_word("g%d^-1" % i, n=n)
         assert invariant_x(conj) == invariant_x(w)
-        up = w.with_strands(n + 1)
+        up = MixedBraidWord(n + 1, w.letters)
         assert invariant_x(up * parse_word("g%d" % n, n=n + 1)) == invariant_x(w)
         assert invariant_x(up * parse_word("g%d^-1" % n, n=n + 1)) == invariant_x(w)
 

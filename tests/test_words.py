@@ -8,6 +8,7 @@ from heckeb.words import (
     LoopMonomial,
     MixedBraidWord,
     WordError,
+    band_move_letters,
     bbm_image,
     compare_order,
     enumerate_abs_level,
@@ -17,8 +18,6 @@ from heckeb.words import (
     order_key,
     parse_word,
     sigma_exponent_sum,
-    word_to_json,
-    word_to_text,
 )
 
 
@@ -58,8 +57,8 @@ def test_text_roundtrip():
             else:
                 letters.append((kind, rng.randint(0, n - 1), rng.choice((-2, -1, 1, 2))))
         w = MixedBraidWord(n, tuple(letters))
-        assert parse_word(word_to_text(w), n=n) == w
-        data = word_to_json(w)
+        assert parse_word(str(w), n=n) == w
+        data = w.to_json()
         tokens = ["%s^%d" % (base, e) for base, e in data["letters"]]
         assert parse_word(" ".join(tokens) or "1", n=data["n"]) == w
 
@@ -341,11 +340,11 @@ def test_bbm_image_shape():
     m = LoopMonomial(((0, 1), (1, 1)), primed=False)
     for sign, text in ((1, "t^2 t1 t2 g1"), (-1, "t^2 t1 t2 g1^-1")):
         w = bbm_image(m, sign, 2)
-        assert word_to_text(w) == text
+        assert str(w) == text
         sigmas = [l for l in w.letters if l[0] == "sigma"]
         assert sigmas == [("sigma", 1, sign)]
     empty = bbm_image(LoopMonomial((), primed=False), 1, 3)
-    assert word_to_text(empty) == "t^3 g1"
+    assert str(empty) == "t^3 g1"
     assert empty.n == 2
 
 
@@ -356,3 +355,14 @@ def test_bbm_image_rejects_bad_input():
         bbm_image(LoopMonomial(((1, 1),), primed=False), 1, 2)
     with pytest.raises(WordError):
         bbm_image(LoopMonomial(((0, 1),), primed=False), 2, 2)
+
+
+def test_band_move_letters_list_both_images_of_each_source():
+    assert band_move_letters((2, 3), 0) == [
+        ("loop", 0, 2), ("sigma", 1, 1),
+        ("loop", 0, 2), ("sigma", 1, -1),
+        ("loop", 0, 3), ("sigma", 1, 1),
+        ("loop", 0, 3), ("sigma", 1, -1),
+    ]
+    images = [bbm_image(m, s, 2) for m in enumerate_level(-2) for s in (1, -1)]
+    assert band_move_letters((2,), -2) == [x for w in images for x in w.letters]
