@@ -36,11 +36,9 @@ def _read_word(text, n):
     return parse_word(sys.stdin.read().strip() if text == "-" else text, n=n)
 
 
-def _emit(args, text_fn, json_obj):
-    if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
-    else:
-        print(text_fn())
+def _emit(args, text_fn, json_fn):
+    """Print the answer in the requested format, building only that one."""
+    print(json.dumps(json_fn(), sort_keys=True) if args.format == "json" else text_fn())
 
 
 def _sign_of_side(side):
@@ -75,7 +73,7 @@ _WORD_COMMANDS = {
 def _word_command(args):
     _, _, answer = _WORD_COMMANDS[args.command]
     out = answer(_read_word(args.word, args.n), args)
-    _emit(args, lambda: str(out), out.to_json())
+    _emit(args, lambda: str(out), out.to_json)
     return 0
 
 
@@ -86,7 +84,7 @@ def _cmd_order(args):
     b = loop_monomial_of_word(_read_word(args.right, args.n))
     c = compare_order(a, b)
     name = {-1: "Less", 0: "Equal", 1: "Greater"}[c]
-    _emit(args, lambda: name, {"order": name})
+    _emit(args, lambda: name, lambda: {"order": name})
     return 0
 
 
@@ -102,7 +100,7 @@ def _cmd_enum(args):
     _emit(
         args,
         lambda: "\n".join(str(m) for m in words) if words else "(empty)",
-        [str(m) for m in words],
+        lambda: [str(m) for m in words],
     )
     return 0
 
@@ -123,7 +121,7 @@ def _cmd_gen_system(args):
     from .lens import generate_system
 
     bundle = generate_system(args.p, args.k_max, args.side)
-    _emit(args, lambda: _bundle_text(bundle), bundle.to_json())
+    _emit(args, lambda: _bundle_text(bundle), bundle.to_json)
     return 0
 
 
@@ -145,7 +143,7 @@ def _cmd_reduce(args):
     from .lens import generate_system, reduce_system
 
     r = reduce_system(generate_system(args.p, args.k_max, "+"))
-    _emit(args, lambda: _reduced_text(r), r.to_json())
+    _emit(args, lambda: _reduced_text(r), r.to_json)
     return 0
 
 
@@ -171,7 +169,7 @@ def _cmd_mirror(args):
     from .lens import compare_mirror
 
     rep = compare_mirror(args.p, args.k_max)
-    _emit(args, lambda: _mirror_text(rep), rep)
+    _emit(args, lambda: _mirror_text(rep), lambda: rep)
     return 0
 
 
@@ -216,7 +214,7 @@ def _cmd_experiment(args):
     _emit(
         args,
         lambda: _experiment_text(gen, win),
-        {"generating": gen, "window": win},
+        lambda: {"generating": gen, "window": win},
     )
     return 0
 
@@ -251,10 +249,11 @@ def _cmd_verify(args):
     }
     names = [args.suite] if args.suite else list(SUITES)
     reports = [run_suite(name, **params) for name in names]
-    if args.format == "json":
-        print(json.dumps(reports if args.suite is None else reports[0], sort_keys=True))
-    else:
-        print("\n".join(_suite_text(rep) for rep in reports))
+    _emit(
+        args,
+        lambda: "\n".join(_suite_text(rep) for rep in reports),
+        lambda: reports if args.suite is None else reports[0],
+    )
     return 0 if all(rep["passed"] for rep in reports) else 2
 
 

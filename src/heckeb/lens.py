@@ -370,7 +370,7 @@ def candidate_basis_experiment(r, probe_level_max):
             undecided.append(mono_str(m))
         else:
             closed.append((mono_str(m), str(nf)))
-    window_relations = [str(v) for v in leftovers if v.terms]
+    window_relations = [str(v) for v in leftovers]
     return {
         "p": p,
         "k_max": k_max,

@@ -146,11 +146,13 @@ class TraceValue:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {} if terms is None else terms
+        # a copy without zero coefficients: zero is the empty dict
+        self.terms = {} if terms is None else {
+            m: c for m, c in terms.items() if not c.is_zero()
+        }
 
     def is_zero(self):
-        # a stored zero coefficient is absent to __eq__, and so here
-        return all(c.is_zero() for c in self.terms.values())
+        return not self.terms
 
     def add_term(self, m, c):
         if c.is_zero():
@@ -166,8 +168,6 @@ class TraceValue:
             self.terms[m] = s
 
     def scale(self, r):
-        if r.is_zero():
-            return TraceValue()
         return TraceValue(dict(rf_scale_terms(self.terms, r)))
 
     def add_scaled(self, other, r):
@@ -178,12 +178,7 @@ class TraceValue:
     def __eq__(self, other):
         if not isinstance(other, TraceValue):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = RF_ZERO
-        for k in keys:
-            if self.terms.get(k, zero) != other.terms.get(k, zero):
-                return False
-        return True
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -264,11 +259,11 @@ class XValue:
         return {"even": zero, "odd": c} if self.parity else {"even": c, "odd": zero}
 
     def __str__(self):
-        live = [(m, c) for m, c in self.terms.sorted_terms() if not c.is_zero()]
-        if not live:
+        if self.terms.is_zero():
             return "0"
         return " + ".join(
-            "(%s) * %s" % (self._coeff_str(c), mono_str(m)) for m, c in live
+            "(%s) * %s" % (self._coeff_str(c), mono_str(m))
+            for m, c in self.terms.sorted_terms()
         )
 
     def to_json(self):
@@ -289,9 +284,8 @@ def closure_scalar(word):
 
 def invariant_x(word):
     """The invariant of the closure of a braid word."""
-    e = sigma_exponent_sum(word)
-    scalar, _ = delta_pow(word.n - 1, e)
-    return XValue(word.n, e, trace_of_word(word).scale(scalar))
+    scalar, _ = closure_scalar(word)
+    return XValue(word.n, sigma_exponent_sum(word), trace_of_word(word).scale(scalar))
 
 
 # -- the variable flip --------------------------------------------------------
@@ -363,7 +357,7 @@ class Equation:
         return self.source.level
 
     def residual(self):
-        out = TraceValue(dict(self.lhs.terms))
+        out = TraceValue(self.lhs.terms)
         for m, c in self.rhs.terms.items():
             out.add_term(m, -c)
         return out
@@ -442,7 +436,7 @@ def bbm_equation_pair(m, p):
                 sign=sign,
                 p=p,
                 coeff=coeff,
-                lhs=TraceValue(dict(lhs.terms)),
+                lhs=TraceValue(lhs.terms),
                 rhs=rhs.scale(coeff),
             )
         )

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from heckeb import algebra, cli, lens, verify
+from heckeb import algebra, cli, lens, trace, verify
 
 
 def run(capsys, *argv):
@@ -135,6 +135,27 @@ def test_reduce_json(capsys):
         "terms": [{"mono": "s[1]", "coeff": {"num": "1", "den": "1"}}]
     }
     assert data["torsion_candidates"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "t^2 g1 t1'^-1"),
+        ("trace", "t^2 g1 t1'^-1"),
+        ("gen-system", "--p", "2", "--k-max", "1"),
+        ("reduce", "--p", "2", "--k-max", "1"),
+    ],
+)
+def test_text_output_builds_no_json(capsys, monkeypatch, argv):
+    want = run(capsys, *argv)
+
+    def refuse(self):
+        raise AssertionError("text output built JSON")
+
+    for cls in (algebra.AlgebraElement, trace.TraceValue, lens.SystemBundle, lens.ReducedSystem):
+        monkeypatch.setattr(cls, "to_json", refuse)
+    assert want[0] == 0
+    assert run(capsys, *argv) == want
 
 
 def test_mirror_text(capsys):

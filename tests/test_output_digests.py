@@ -11,6 +11,7 @@ deliberate change of output, with
     PYTHONPATH=src python tests/test_output_digests.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -86,15 +87,30 @@ BROKEN_G1_ARGS = (
 
 BROKEN = {"verify-broken": BROKEN_ARGS, "verify-broken-g1": BROKEN_G1_ARGS}
 
+# enum's listings and its exit-1 cases
+ENUM_ARGS = (
+    ("--level", "3"),
+    ("--level", "3", "--side", "-"),
+    ("--level", "0"),
+    ("--level", "-1"),
+    ("--level", "2", "--side", "x"),
+    ("--level", "17"),
+)
 
-def _loop_words():
-    return [str(m) for lvl in (3, -3) for m in enumerate_level(lvl)]
+
+def _loop_words(levels=(3, -3)):
+    return [str(m) for lvl in levels for m in enumerate_level(lvl)]
 
 
 def _commands(name):
     if name == "order":
         words = _loop_words()
         return [("order", a, b) for a in words for b in words]
+    if name == "listing":
+        words = _loop_words((2, -2))
+        return [
+            ("enum",) + args + fmt for args in ENUM_ARGS for fmt in ((), ("--format", "json"))
+        ] + [("order", a, b, "--format", "json") for a in words for b in words]
     if name == "invariant":
         return [
             ("invariant", w) + fmt
@@ -233,6 +249,7 @@ def _current(name):
 
 DIGESTS = {
     "order": "1cc7b7cb900ac5133d0f84983f7966396cc9f2bc78b1569fa34331aa554f7fa0",
+    "listing": "36b803238d8cd81714ff18cc1168cba99c7f49aa446e41c6728ed5a94b632281",
     "invariant": "515b5ade4dc387d47e10cbfe2ce0c58c75b3f7e581b4596427f37b1b4e0dbec0",
     "systems": "f61d49c8357f50836cfa1d30bf250cc591441fa4d4c1e37d5b3d4fa832d617d3",
     "systems-k4": "a007943766452ee87ec550218d7df1d1c822c4eba5223da954fb7042e1eb29fb",
@@ -253,6 +270,16 @@ def test_output_matches_recorded_digest(name):
 
 def test_order_covers_every_pair_of_level_3_words():
     assert len(_commands("order")) == 64
+
+
+def test_every_subcommand_is_pinned_in_text_and_json():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    pinned = {
+        (argv[0], "json" in argv) for name in DIGESTS for argv in _commands(name)
+    }
+    want = {(cmd, as_json) for cmd in sub.choices for as_json in (False, True)}
+    assert want - pinned == set()
 
 
 if __name__ == "__main__":

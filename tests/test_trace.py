@@ -186,6 +186,13 @@ def test_zero_trace_value_has_one_form():
     assert a == b and b == a
 
 
+def test_trace_value_stores_no_zero_coefficient():
+    terms = {(1,): RF_ZERO, (2,): Q}
+    assert TraceValue(terms).terms == {(2,): Q}
+    # the constructor stores a copy and leaves its argument alone
+    assert terms == {(1,): RF_ZERO, (2,): Q}
+
+
 def test_residual_is_the_termwise_difference():
     eqs = [eq for m in enumerate_level(2) for eq in bbm_equation_pair(m, 2)]
     # one side of s[1] cancels and one of s[2] is left over
