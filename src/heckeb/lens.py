@@ -14,9 +14,9 @@ positive side.
 reduce_system eliminates exactly over the rational-function field,
 rewriting the monomial carrying the largest index at least p. Its rules
 r.rules are one dict head -> value, in creation order, and no value
-mentions a head. check_generating_set(r, probe) and
-candidate_basis_experiment(r, probe) probe the reduced positive system
-r; the second joins the negative side.
+mentions a head. check_generating_set(r, probe) probes the reduced
+positive system r, and candidate_basis_experiment(b, probe) joins the
+positive bundle b to the negative side.
 
 Monomials here are coordinates, not products: a rule rewriting s[4] does
 not touch s[4]s[1], which needs its own equation. The quotient being
@@ -57,7 +57,7 @@ class SystemBundle:
         }
 
 
-def generate_system(p, k_max, side="+"):
+def generate_system(p, k_max, side):
     """Bundle the level 0..k_max sources with both move signs, fixed order.
 
     A k_max whose band move images hold a loop power past
@@ -70,7 +70,7 @@ def generate_system(p, k_max, side="+"):
     if p < 1 or k_max < 0:
         raise ValueError("need p >= 1 and k_max >= 0")
     for k in range(k_max + 1):
-        bad = refused_loop_power(band_move_letters((p,), k))
+        bad = refused_loop_power(band_move_letters(k))
         if bad:
             raise ValueError(
                 "need k_max <= %d; level %d builds the loop power t%d^%d" % (k - 1, k, *bad[1:])
@@ -216,26 +216,26 @@ def _reduce_rows(residuals, eligible, key, reverse):
     return rules, redundant, leftovers
 
 
-def reduce_system(b, orientation="high"):
+def _head_order(m):
+    """Rule-head order of the positive system: level, then top index, then
+    reversed-lex."""
+    return (mono_level(m), max(m), tuple(sorted(m, reverse=True)))
+
+
+def reduce_system(b):
     """Eliminate every monomial carrying an index >= p from a positive bundle.
 
-    orientation "high" rewrites the largest eligible monomial (level, then
-    top index, then reversed-lex); "low" orients the other way around and
-    exists to probe confluence. Rows that reduce to relations purely among
-    index < p monomials are returned as leftovers: any nonzero one would
-    be a relation the conjectured free basis forbids, so they are findings
-    for the caller to surface, never dropped.
+    Each row rewrites its largest eligible monomial in _head_order. Rows
+    that reduce to relations purely among index < p monomials are returned
+    as leftovers: any nonzero one would be a relation the conjectured free
+    basis forbids, so they are findings for the caller to surface, never
+    dropped.
     """
     if b.side != "+":
         raise ValueError("reduce_system expects a positive-side bundle")
-    if orientation not in ("high", "low"):
-        raise ValueError("orientation must be 'high' or 'low', not %r" % (orientation,))
     p = b.p
     rules, redundant, leftovers = _reduce_rows(
-        [e.residual() for e in b.equations],
-        eligible=lambda m: max(m) >= p,
-        key=lambda m: (mono_level(m), max(m), tuple(sorted(m, reverse=True))),
-        reverse=(orientation == "high"),
+        [e.residual() for e in b.equations], lambda m: max(m) >= p, _head_order, reverse=True
     )
     return ReducedSystem(rules, redundant, tuple(leftovers), b)
 
@@ -280,23 +280,26 @@ def check_generating_set(r, probe_level_max):
     if an index >= p survives with no covering rule, the truncation at
     k_max was too small to decide it and it is reported as undecided, not
     recursed blindly. Confluence is probed by rebuilding the rules with the
-    opposite orientation and comparing every settled normal form. A probe
-    level below 1 probes nothing and is a ValueError.
+    opposite orientation (each row rewrites its smallest eligible monomial)
+    and comparing every settled normal form. A probe level below 1 probes
+    nothing and is a ValueError.
     """
     p = r.bundle.p
     # every multiset of positive indices of weighted level 1..probe_level_max
     probes = [m for m in _probes(probe_level_max, probe_level_max) if m[0] > 0]
-    alt = reduce_system(r.bundle, orientation="low")
 
     def high(m):
         return max(m) >= p
+
+    residuals = [e.residual() for e in r.bundle.equations]
+    alt_rules, _, alt_leftovers = _reduce_rows(residuals, high, _head_order, reverse=False)
 
     reduced = []
     undecided = []
     confluent = True
     for m in probes:
         nf = _normal_form(m, r.rules, high)
-        nf_alt = _normal_form(m, alt.rules, high)
+        nf_alt = _normal_form(m, alt_rules, high)
         if nf is None or nf_alt is None:
             undecided.append(mono_str(m))
             continue
@@ -311,7 +314,7 @@ def check_generating_set(r, probe_level_max):
         "undecided": undecided,
         "confluent": confluent,
         "torsion_candidates": [str(v) for v in r.leftovers],
-        "alt_torsion_candidates": [str(v) for v in alt.leftovers],
+        "alt_torsion_candidates": [str(v) for v in alt_leftovers],
     }
 
 
@@ -331,20 +334,19 @@ def _probes(level_max, idx_max):
     return sorted(out, key=lambda m: (sum(map(abs, m)), m))
 
 
-def candidate_basis_experiment(r, probe_level_max):
+def candidate_basis_experiment(b, probe_level_max):
     """Join both exponent sides and test the split-window basis candidate.
 
-    r is the reduced positive system; its bundle gives p, k_max and the
-    positive rows, and the negative bundle is generated here. The window
-    keeps indices j with -p/2 <= j < p/2. Every relation from both sides
-    is oriented to rewrite the monomial whose largest absolute index lies
-    outside the window (ties prefer the positive index, then higher
-    weight). The report says whether all probed monomials with
-    |index| <= p close into the window and whether any relation survives
-    purely among window monomials, which would refute independence.
+    b is the positive bundle; it gives p, k_max and the positive rows, and
+    the negative bundle is generated here. The window keeps indices j with
+    -p/2 <= j < p/2. Every relation from both sides is oriented to rewrite
+    the monomial whose largest absolute index lies outside the window
+    (ties prefer the positive index, then higher weight). The report says
+    whether all probed monomials with |index| <= p close into the window
+    and whether any relation survives purely among window monomials,
+    which would refute independence.
     A probe level below 1 probes nothing and is a ValueError.
     """
-    b = r.bundle
     p, k_max = b.p, b.k_max
     probes = _probes(probe_level_max, p)
     win = {j for j in range(-p, p) if j != 0 and -p <= 2 * j < p}

@@ -70,12 +70,11 @@ def pshift(a, qe, ze):
 
 
 def pmul(a, b):
+    if len(a) == 1:
+        a, b = b, a
     if len(b) == 1:
         ((qe, ze), c) = next(iter(b.items()))
         return {(k[0] + qe, k[1] + ze): v * c for k, v in a.items()}
-    if len(a) == 1:
-        ((qe, ze), c) = next(iter(a.items()))
-        return {(k[0] + qe, k[1] + ze): v * c for k, v in b.items()}
     out = {}
     for (qa, za), ca in a.items():
         for (qb, zb), cb in b.items():

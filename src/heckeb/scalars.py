@@ -271,7 +271,7 @@ def rf_invmap(r):
     return RatFunc(num, den)
 
 
-def delta_pow(m, e=0):
+def delta_pow(m, e):
     """d^m w^e as (RatFunc, parity): the value is r * w^parity.
 
     d = w q/N and w^2 = lam = N/(q z) with N = z+1-q, so with s = m + e

@@ -580,7 +580,7 @@ def suite_theorem9(p=3, k=3):
     from .lens import compare_mirror  # here, so that no other suite loads lens
 
     p_all = range(1, _at_least("theorem9", "p", p, 1) + 1)
-    _at_most("theorem9", "k", k, lambda kk: band_move_letters(p_all, kk))
+    _at_most("theorem9", "k", k, band_move_letters)
     ledger = _Ledger()
     for pp in p_all:
         rep = compare_mirror(pp, k)
@@ -658,7 +658,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
 
     _at_most("flip", "n", n, lambda nn: [("loop", nn - 1, e) for e in exponents])
     # f(image) inverts the image's loop powers, and no index allows fewer positive powers
-    _at_most("flip", "k", k, lambda v: band_move_letters(p_list, -v))
+    _at_most("flip", "k", k, lambda v: band_move_letters(-v))
     rng = random.Random(seed)
     ledger = _Ledger()
 
@@ -691,7 +691,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
 
 def suite_grading(p=2, k=4):
     """Trace levels: sources sit at level k, band images at level p + k."""
-    _at_most("grading", "k", k, lambda kk: band_move_letters((p,), kk))
+    _at_most("grading", "k", k, band_move_letters)
     ledger = _Ledger()
     for kk in range(0, k + 1):
         for m in enumerate_level(kk):
@@ -761,9 +761,9 @@ SUITES = {
 def run_suite(name, **params):
     """Run one suite by name, passing only the parameters its signature
     names (read from the code object: `inspect` would add import time to
-    every cold `heckeb verify`)."""
+    every cold `heckeb verify`). An unknown name is a ValueError."""
     if name not in SUITES:
-        raise KeyError("unknown suite %r" % name)
+        raise ValueError("unknown suite %r; choose from %s" % (name, ", ".join(SUITES)))
     fn = SUITES[name]
     allowed = fn.__code__.co_varnames[: fn.__code__.co_argcount]
     kwargs = {k: v for k, v in params.items() if k in allowed and v is not None}

@@ -264,11 +264,11 @@ def bbm_image(m, sign, p):
     return MixedBraidWord(n, tuple(letters))
 
 
-def band_move_letters(ps, k):
-    """The letters of both band move images of every level k source, at
-    each p in ps: the words a band-move level multiplies."""
-    sources = enumerate_level(k)
-    return [x for p in ps for m in sources for s in (1, -1) for x in bbm_image(m, s, p).letters]
+def band_move_letters(k):
+    """The shifted loop letters of every level k source: the loop powers
+    its band move images multiply at every p. The images add only g1^sign
+    and t^p, which algebra.refused_loop_power does not bound."""
+    return [("loop", i + 1, e) for m in enumerate_level(k) for i, e in m.entries]
 
 
 # -- the total order on loop monomials ----------------------------------

@@ -2,11 +2,14 @@
 reads still resolves, so a rename cannot break `perfbench/run.py --trace 1`
 unnoticed."""
 
+import ast
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 def _traced():
@@ -53,3 +56,23 @@ def test_layer_counts_follow_the_letter_kernels():
     assert calls["algebra.rmul_axis"] == 1
     assert calls["algebra.project_braid"] == 1
     assert not hasattr(algebra.rmul_sigma, "__wrapped__")
+
+
+def test_worker_calls_bind_to_package_signatures():
+    # every lens.*, trace.*, words.* and algebra.* call in the benchmark's
+    # worker binds, by positional count and keyword names, to the package
+    # function's signature, so dropping a parameter the benchmark passes
+    # fails here and not only in a benchmark run
+    tree = ast.parse(WORKER.read_text())
+    bound = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)):
+            continue
+        if func.value.id not in ("lens", "trace", "words", "algebra"):
+            continue
+        fn = getattr(_module(func.value.id), func.attr)
+        sig = inspect.signature(fn)
+        sig.bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        bound.append("%s.%s" % (func.value.id, func.attr))
+    assert {"lens.generate_system", "lens.compare_mirror", "words.parse_word"} <= set(bound)

@@ -325,7 +325,7 @@ def test_experiment_generates_each_side_once(capsys, monkeypatch):
     sides = []
     generate_system = lens.generate_system
 
-    def counted(p, k_max, side="+"):
+    def counted(p, k_max, side):
         sides.append(side)
         return generate_system(p, k_max, side)
 
@@ -404,6 +404,18 @@ def test_verify_unknown_suite_exits_1(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nope")
     assert code == 1 and out == ""
     assert err.startswith("error: unknown suite 'nope'; choose from ") and "flip" in err
+
+
+def test_verify_empty_suite_name_exits_1(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown suite ''; choose from ")
+
+
+def test_verify_grading_negative_p_exits_1_before_work(capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, "verify", "--suite", "grading", "--p", "-1", "--k", "2")
+    assert (code, out, err) == (1, "", "error: p must be nonnegative\n")
 
 
 def test_strand_limit_exits_1(capsys):

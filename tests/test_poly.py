@@ -48,6 +48,32 @@ def test_mul_ring_laws():
         assert P.pmul(a, P.PONE) == a
 
 
+def _pmul_reference(a, b):
+    """Term-by-term product: a's terms outside, b's inside, zero sums dropped."""
+    out = {}
+    for (qa, za), ca in a.items():
+        for (qb, zb), cb in b.items():
+            k = (qa + qb, za + zb)
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def test_pmul_one_term_operand_matches_double_loop():
+    # the one-term fast path, on either side, against the general loop:
+    # same terms in the same key order
+    rng = random.Random(19)
+    for _ in range(80):
+        mono = {(rng.randint(-4, 4), rng.randint(-4, 4)): rng.choice((-3, -2, -1, 1, 2, 5))}
+        for other in (rand_poly(rng, terms=rng.randint(1, 7)), {}, mono):
+            for a, b in ((mono, other), (other, mono)):
+                got, want = P.pmul(a, b), _pmul_reference(a, b)
+                assert got == want and list(got) == list(want), (a, b)
+
+
 def test_zero_operands():
     q1 = {(0, 0): 1, (1, 0): 1}
     for a in ({(1, 2): -3}, q1):

@@ -282,9 +282,9 @@ def test_closure_scalar_grid():
 
 
 def test_closure_scalar_spot_values():
-    assert delta_pow(0) == (RF_ONE, 0)
+    assert delta_pow(0, 0) == (RF_ONE, 0)
     assert delta_pow(0, 1) == (RF_ONE, 1)  # w
-    assert delta_pow(1) == (rf_mono(1, 1, 0) / RatFunc(big_n()), 1)  # d
+    assert delta_pow(1, 0) == (rf_mono(1, 1, 0) / RatFunc(big_n()), 1)  # d
     assert delta_pow(1, 1) == (rf_z().inverse(), 0)  # c(2, 1) = d w = 1/z
     assert delta_pow(0, 2) == (lam(), 0)  # c(1, 2) = w^2 = lam
     assert delta_pow(0, -1) == (lam().inverse(), 1)  # w^-1 = w / lam

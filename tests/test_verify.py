@@ -52,7 +52,7 @@ def test_suite_passes_small(name):
 
 
 def test_unknown_suite():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; choose from markov, .*flip"):
         run_suite("nope")
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from heckeb.algebra import refused_loop_power
 from heckeb.words import (
     LoopMonomial,
     MixedBraidWord,
@@ -357,12 +358,18 @@ def test_bbm_image_rejects_bad_input():
         bbm_image(LoopMonomial(((0, 1),), primed=False), 2, 2)
 
 
-def test_band_move_letters_list_both_images_of_each_source():
-    assert band_move_letters((2, 3), 0) == [
-        ("loop", 0, 2), ("sigma", 1, 1),
-        ("loop", 0, 2), ("sigma", 1, -1),
-        ("loop", 0, 3), ("sigma", 1, 1),
-        ("loop", 0, 3), ("sigma", 1, -1),
-    ]
-    images = [bbm_image(m, s, 2) for m in enumerate_level(-2) for s in (1, -1)]
-    assert band_move_letters((2,), -2) == [x for w in images for x in w.letters]
+def test_band_move_letters_bound_like_the_images_at_every_modulus():
+    # the images add only t^p and g1^sign to the shifted loops, and the
+    # loop power bound skips the axis, so no modulus changes the refusal
+    for k in range(-12, 13):
+        letters = band_move_letters(k)
+        for p in range(1, 5):
+            images = {s: [bbm_image(m, s, p) for m in enumerate_level(k)] for s in (1, -1)}
+            every = [x for s in (1, -1) for w in images[s] for x in w.letters]
+            assert refused_loop_power(letters) == refused_loop_power(every), (k, p)
+            for s in (1, -1):
+                shifted = [x for w in images[s] for x in w.letters if x[0] == "loop" and x[1] >= 1]
+                assert letters == shifted, (k, p, s)
+    assert band_move_letters(0) == []
+    assert refused_loop_power(band_move_letters(8)) is None
+    assert refused_loop_power(band_move_letters(9)) == ("loop", 5, 5)
