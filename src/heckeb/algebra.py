@@ -25,6 +25,12 @@ the swaps, solved from the commutation t^e t1^K = t1^K t^e, and the
 braiding-tail expansions) are built with them, on two strands for the
 loops and on the element's strands for the tails.
 
+No memo table evicts. insert_loop stores each distinct value once: its
+unit coefficients are poly.PONE, and its swap products, loop words and
+braiding tails go through _intern, so a long-lived process keeps one
+object per value however many entries hold it. No table value reaches a
+returned answer: rmul_axis stores products in fresh dicts.
+
 Coefficients here never involve z; they are Laurent polynomials in q
 stored in the shared (q-exp, z-exp) dict representation with z-exp 0.
 """
@@ -230,23 +236,42 @@ def swap_loops(K, e):
 # -- loop insertion --------------------------------------------------------
 
 
+def _frozen(value):
+    """A hashable key for value, equal for equal values: a dict becomes
+    its sorted items, with its values keyed the same way."""
+    if type(value) is not dict:
+        return value
+    return tuple(sorted((k, _frozen(v)) for k, v in value.items()))
+
+
+def _intern(table, value):
+    """The one object table stores for value: value itself the first time."""
+    return table.setdefault(_frozen(value), value)
+
+
+_coeffs = {_frozen(P.PONE): P.PONE}
+# loop words and braiding tails; trace's cache keys share them too
+_words = {}
+
+
 @functools.lru_cache(maxsize=None)
 def insert_loop(loops, h, e):
     """Multiply the increasing loop product `loops` by t_h'^e on the right.
 
     Returns a tuple of (coeff, loops', tail) where tail is a word of
     braiding letters (index, sign) to be folded into the permutation part.
+    The coefficients, loop words and tails are shared table values.
     """
+    one = P.PONE
     if e == 0:
-        return ((P.pconst(1), loops, ()),)
+        return ((one, _intern(_words, loops), ()),)
     if not loops or h > loops[-1][0]:
-        return ((P.pconst(1), loops + ((h, e),), ()),)
+        return ((one, _intern(_words, loops + ((h, e),)), ()),)
     top, K = loops[-1]
+    rest = _intern(_words, loops[:-1])
     if h == top:
         nk = K + e
-        rest = loops[:-1]
-        return ((P.pconst(1), rest + (((top, nk),) if nk else ()), ()),)
-    rest = loops[:-1]
+        return ((one, _intern(_words, rest + (((top, nk),) if nk else ())), ()),)
     out = []
     for cs, al, be, gg in swap_loops(K, e):
         if gg:
@@ -259,7 +284,11 @@ def insert_loop(loops, h, e):
             tail = ()
         for c2, loops2, tail2 in insert_loop(rest, h, al):
             newloops = loops2 + (((top, be),) if be else ())
-            out.append((P.pmul(cs, c2), newloops, tail2 + tail))
+            out.append((
+                _intern(_coeffs, P.pmul(cs, c2)),
+                _intern(_words, newloops),
+                _intern(_words, tail2 + tail),
+            ))
     return tuple(out)
 
 

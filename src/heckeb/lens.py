@@ -25,7 +25,8 @@ ever replaces a whole monomial.
 """
 
 from .algebra import refused_loop_power
-from .scalars import rf_int, rf_invmap
+from .poly import pformat
+from .scalars import _n_power, rf_int, rf_invmap
 from .trace import (
     Equation,
     TraceDomainError,
@@ -193,6 +194,11 @@ def _reduce_rows(residuals, eligible, key, reverse):
     rule map (head -> head-free value, in creation order), the count of
     rows that vanished, and the nonzero rows no eligible monomial could
     orient.
+
+    Rule coefficients lie in Z[q^+-1, z^+-1][1/N], N = z+1-q: a
+    denominator is +-q^a z^b N^c, which the fraction's canonical form
+    makes N^c with c its z-degree. Any other rule denominator raises
+    RuntimeError naming the head and the denominator.
     """
     rules = {}
     redundant = 0
@@ -213,6 +219,13 @@ def _reduce_rows(residuals, eligible, key, reverse):
             if coef is not None:
                 cur.add_scaled(value, coef)
         rules[head] = value
+    for head, value in rules.items():
+        for c in value.terms.values():
+            if c.den != _n_power(max(ze for _, ze in c.den)):
+                raise RuntimeError(
+                    "rule for %s has denominator %s, not a unit times a power of N"
+                    % (mono_str(head), pformat(c.den))
+                )
     return rules, redundant, leftovers
 
 

@@ -7,10 +7,12 @@ s_k (k a nonzero integer), one s per surviving loop exponent:
   * tr(X g_{n-1} Y) = z tr(X Y) when X, Y use only the first n-1 strands;
   * tr is linear and computed by peeling the top strand.
 
-Each distinct raw trace value is stored once: words with equal traces
-share one interned dict, so the trace of an element sums the
-coefficients of the words that share a value and multiplies each value
-once.
+_trace_cache maps each traced word (n, loops, perm) to its raw value.
+Each distinct raw value is stored once, in _trace_values: words with
+equal traces share one interned dict, so the trace of an element sums
+the coefficients of the words that share a value and multiplies each
+value once. The peeling slices loops and perm afresh, so the cache keys
+go through algebra._intern too, one tuple per value. Nothing evicts.
 
 TraceValue holds such a value with rational-function coefficients.
 invariant_x rescales a closed-braid trace into the ambient-isotopy
@@ -34,6 +36,8 @@ from . import poly as P
 from .algebra import (
     AlgebraElement,
     _acc,
+    _intern,
+    _words,
     perm_blocks,
     perm_of_blocks,
     project_braid,
@@ -78,19 +82,13 @@ def _mono_insert(m, k):
 # -- raw trace over polynomial coefficients --------------------------------
 
 _trace_cache = {}
-# one shared dict per distinct trace value, keyed by its (monomial,
-# coefficient items) pairs; callers never mutate a cached value
+# one shared dict per distinct trace value; callers never mutate a
+# cached value
 _trace_values = {}
 
 
-def _intern(out):
-    key = frozenset((m, frozenset(v.items())) for m, v in out.items())
-    return _trace_values.setdefault(key, out)
-
-
 def _trace_word(n, loops, perm):
-    key = (n, loops, perm)
-    hit = _trace_cache.get(key)
+    hit = _trace_cache.get((n, loops, perm))
     if hit is not None:
         return hit
     top = n - 1
@@ -117,7 +115,8 @@ def _trace_word(n, loops, perm):
             el = rmul_sigma(el, i, 1)
         inner = _trace_element(el)
         out = {m: P.pshift(v, 0, 1) for m, v in inner.items()}
-    out = _trace_cache[key] = _intern(out)
+    key = (n, _intern(_words, loops), _intern(_words, perm))
+    out = _trace_cache[key] = _intern(_trace_values, out)
     return out
 
 

@@ -691,6 +691,7 @@ def suite_flip(n=3, samples=150, seed=DEFAULT_SEED, p=None, k=3):
 
 def suite_grading(p=2, k=4):
     """Trace levels: sources sit at level k, band images at level p + k."""
+    p = _at_least("grading", "p", p, 1)
     _at_most("grading", "k", k, band_move_letters)
     ledger = _Ledger()
     for kk in range(0, k + 1):

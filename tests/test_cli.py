@@ -413,9 +413,11 @@ def test_verify_empty_suite_name_exits_1(capsys):
 
 
 def test_verify_grading_negative_p_exits_1_before_work(capsys, monkeypatch):
+    # p is checked before the k bound, and p = 0 is refused as gen-system does
     _forbid_work(monkeypatch)
-    code, out, err = run(capsys, "verify", "--suite", "grading", "--p", "-1", "--k", "2")
-    assert (code, out, err) == (1, "", "error: p must be nonnegative\n")
+    for p, k in (("-1", "2"), ("0", "2"), ("-1", "9")):
+        code, out, err = run(capsys, "verify", "--suite", "grading", "--p", p, "--k", k)
+        assert (code, out, err) == (1, "", "error: suite grading needs p >= 1\n"), (p, k)
 
 
 def test_strand_limit_exits_1(capsys):

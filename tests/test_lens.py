@@ -8,6 +8,8 @@ import pytest
 from heckeb import poly
 from heckeb.algebra import project_braid
 from heckeb.lens import (
+    _head_order,
+    _reduce_rows,
     back_substitution_check,
     candidate_basis_experiment,
     check_generating_set,
@@ -256,6 +258,29 @@ def test_elimination_gcd_count(monkeypatch):
     r = reduce_system(generate_system(3, 4, "+"))
     assert back_substitution_check(r) == []
     assert len(calls) <= 2345
+
+
+def test_rule_denominators_are_units_times_powers_of_n():
+    # each elimination checks its rules on the way out: the high order of
+    # reduce_system, the low order of check_generating_set's confluence
+    # probe and the window order of candidate_basis_experiment
+    for p in range(1, 6):
+        for k_max in range(1, 5):
+            b = generate_system(p, k_max, "+")
+            r = reduce_system(b)
+            for value in r.rules.values():
+                for c in value.terms.values():
+                    d = max(ze for _, ze in c.den)
+                    assert c.den == poly.ppow(N.num, d), (p, k_max, str(c))
+            check_generating_set(r, 1)
+            if k_max <= 3:
+                candidate_basis_experiment(b, 1)
+
+
+def test_rule_denominator_outside_r_raises():
+    row = TraceValue({(2,): RF_ONE + Q, (): RF_ONE})
+    with pytest.raises(RuntimeError, match=r"^rule for s\[2\] has denominator 1 \+ q, "):
+        _reduce_rows([row], lambda m: True, _head_order, reverse=True)
 
 
 def test_reduced_system_to_json():

@@ -1,14 +1,19 @@
 """Trace layer: closed forms, closure invariance, band move equations."""
 
+import gc
 import importlib
 import json
 import random
+import runpy
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from heckeb import algebra
 from heckeb.algebra import project_braid, rmul_sigma
 from heckeb.lens import generate_system
-from heckeb.poly import pconst, pmul, ppow
+from heckeb.poly import PONE, pconst, pmul, ppow
 from heckeb.scalars import (
     RF_ZERO,
     RatFunc,
@@ -24,6 +29,7 @@ from heckeb.trace import (
     TraceValue,
     XValue,
     _trace_cache,
+    _trace_values,
     _trace_word,
     bbm_coefficient,
     bbm_equation,
@@ -43,6 +49,8 @@ from heckeb.words import (
     enumerate_level,
     parse_word,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 Q = rf_mono(1, 1, 0)
 QI = rf_mono(1, -1, 0)
@@ -525,15 +533,22 @@ def test_equal_trace_values_are_one_object():
     assert len(shared) < len(_trace_cache)
 
 
-def test_replayed_queries_answer_the_same():
-    # many cache keys share one interned value, so a caller that mutated
-    # a cached value would change every later answer built from it
+def _query_set():
+    """Thirty seeded words on 2..4 strands, each with one of the three
+    query operations in turn."""
     rng = random.Random(58)
     queries = []
     for i in range(30):
         n = rng.choice([2, 3, 4])
         w = rand_word(rng, n, rng.randrange(1, 6))
         queries.append(((project_braid, trace_of_word, invariant_x)[i % 3], w))
+    return queries
+
+
+def test_replayed_queries_answer_the_same():
+    # many cache keys share one interned value, so a caller that mutated
+    # a cached value would change every later answer built from it
+    queries = _query_set()
 
     def answer():
         return [json.dumps(fn(w).to_json(), sort_keys=True) for fn, w in queries]
@@ -542,31 +557,97 @@ def test_replayed_queries_answer_the_same():
     assert answer() == first
 
 
+def test_memo_tables_store_equal_values_once(monkeypatch):
+    # a long-lived process keeps every entry, so equal coefficients, loop
+    # words and tails across insert_loop results, and equal loop words and
+    # permutations across trace cache keys, must each be one object
+    calls = []
+    insert_loop = algebra.insert_loop
+    monkeypatch.setattr(
+        algebra, "insert_loop", lambda *args: calls.append(args) or insert_loop(*args)
+    )
+    for fn, w in _query_set():
+        fn(w)
+    assert calls
+    seen = {}
+    for args in calls:
+        for entry in insert_loop(*args):
+            for v in entry:
+                key = tuple(sorted(v.items())) if isinstance(v, dict) else v
+                assert seen.setdefault((type(v), key), v) is v, (args, v)
+    assert seen[(dict, (((0, 0), 1),))] is PONE
+    parts = {}
+    for _, loops, perm in list(_trace_cache):
+        assert parts.setdefault(loops, loops) is loops
+        assert parts.setdefault(perm, perm) is perm
+
+
+def _coefficients(answer):
+    """Every coefficient dict of an element, trace value or XValue."""
+    terms = answer.terms.terms if isinstance(answer, XValue) else answer.terms
+    for c in terms.values():
+        if isinstance(c, RatFunc):
+            yield c.num
+            yield c.den
+        else:
+            yield c
+
+
 def test_mutated_answers_do_not_change_later_answers():
-    # the letter kernels store a caller's coefficient dict under new keys;
-    # storing a memoized table entry instead would let this mutation leak
+    # the letter kernels store a caller's coefficient dict under new keys,
+    # and rmul_axis multiplies the shared insert_loop coefficients into
+    # fresh dicts; storing a table value instead would let this mutation
+    # leak into every later answer built from it
     rng = random.Random(59)
     words = []
     for _ in range(20):
         n = rng.choice([2, 3, 4])
         words.append(rand_word(rng, n, rng.randrange(1, 7)))
+    # axis letters past stored loops: unit coefficients, swaps and tails
+    for text, n in (("t1' t", 2), ("t1'^2 t^-1 g1 t^2", 2), ("t2' t1'^-1 t g2 t^-1", 3)):
+        words.append(parse_word(text, n=n))
 
     def vandalize(coeff):
         for k in list(coeff):
             coeff[k] += 7
         coeff[(11, 3)] = 5
 
-    for fn in (project_braid, trace_of_word):
+    for fn in (project_braid, trace_of_word, invariant_x):
         first = [json.dumps(fn(w).to_json(), sort_keys=True) for w in words]
         for w in words:
-            for c in fn(w).terms.values():
-                if isinstance(c, RatFunc):
-                    vandalize(c.num)
-                    vandalize(c.den)
-                else:
-                    vandalize(c)
+            for c in _coefficients(fn(w)):
+                vandalize(c)
         again = [json.dumps(fn(w).to_json(), sort_keys=True) for w in words]
         assert again == first, fn.__name__
+    assert PONE == {(0, 0): 1}
+    for table in (algebra._coeffs, _trace_values):
+        for key, v in table.items():
+            assert algebra._frozen(v) == key
+
+
+def test_a_warm_query_pass_retains_no_memory():
+    # the first pass over a fixed query mix fills every memo table; a
+    # second pass finds every entry, so it may keep nothing new
+    requests = runpy.run_path(str(WORKLOADS))["stream_requests"](1, 0, count=300)
+    ops = {"project_braid": project_braid, "trace_of_word": trace_of_word,
+           "invariant_x": invariant_x}
+    queries = [(ops[op], parse_word(w, n=n)) for op, n, w in requests]
+
+    def answer():
+        for fn, w in queries:
+            json.dumps(fn(w).to_json(), sort_keys=True)
+
+    tracemalloc.start()
+    try:
+        answer()
+        gc.collect()
+        warm = tracemalloc.get_traced_memory()[0]
+        answer()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+    assert retained < 1024, retained
 
 
 def test_closed_form_trace_of_unprimed_loops():
